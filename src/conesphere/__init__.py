@@ -48,13 +48,15 @@ from .errors import (
     SingularLinearization,
     SpectralError,
 )
-from .mesh import SphereMesh, build_mesh, icosphere, stereographic_chart, write_csv, write_off
+from .mesh import SphereMesh, build_mesh, icosphere, write_csv, write_off
 from .moebius import (
     MoebiusMap,
+    StereoChart,
     conformal_distortion,
     enumerate_conformal_symmetries,
     identity_map,
     moebius_from_triples,
+    stereographic_chart,
 )
 from .solver import (
     LinearizedOperator,

@@ -34,7 +34,7 @@ from .errors import (
     ScopeError,
     ShapeError,
 )
-from .mesh import SphereMesh, spherical_face_areas
+from .mesh import SphereMesh, _unique_edges, spherical_face_areas
 
 _PROFILE_POINTS = 20001
 _TAPER = 0.12  # fraction of the annulus used by each smoothstep ramp
@@ -111,6 +111,13 @@ def _build_profile(radius: float, beta: float) -> _ConeProfile:
     return _ConeProfile(
         radius=radius, delta=delta, c=c, grid=s, logrho=L, inner_shift=inner_shift
     )
+
+
+def _cone_distance(points, position):
+    """Great-circle distance from each row of `points` to the unit vector
+    `position` (atan2 form, stable near 0 and pi)."""
+    dot = np.clip(points @ position, -1.0, 1.0)
+    return np.arctan2(np.sqrt(1.0 - dot * dot), dot)
 
 
 def _needed_radius(beta: float) -> float:
@@ -222,8 +229,7 @@ def build_background(div: Divisor, mesh: SphereMesh, cutoff_radius: float = 1.2)
         radii = _allocate_radii(div, cutoff_radius)
         profiles = tuple(_build_profile(r, p.beta) for r, p in zip(radii, div.points))
         for prof, p in zip(profiles, div.points):
-            dot = np.clip(mesh.vertices @ p.position, -1.0, 1.0)
-            d = np.arctan2(np.sqrt(1.0 - dot * dot), dot)
+            d = _cone_distance(mesh.vertices, p.position)
             inside = d < prof.radius
             log_rho[inside] += prof.log_rho(d[inside])
             lap[inside] += prof.laplacian_log_rho(d[inside])
@@ -325,17 +331,12 @@ def weighted_norm(bg: ConicalBackground, f: np.ndarray, spec) -> float:
         raise BackgroundError("inadmissible weights for this divisor")
 
     mesh = bg.mesh
-    cone = set(int(c) for c in bg.cone_vertices)
     keep = np.ones(mesh.n_vertices, dtype=bool)
-    for c in cone:
-        keep[c] = False
+    keep[bg.cone_vertices] = False
 
     gamma_eff = np.zeros(mesh.n_vertices)
-    if len(bg.divisor):
-        for g, p, prof in zip(spec.gamma, bg.divisor.points, bg.profiles):
-            dot = np.clip(mesh.vertices @ p.position, -1.0, 1.0)
-            d = np.arctan2(np.sqrt(1.0 - dot * dot), dot)
-            gamma_eff[d < prof.radius] = g
+    for g, p, prof in zip(spec.gamma, bg.divisor.points, bg.profiles):
+        gamma_eff[_cone_distance(mesh.vertices, p.position) < prof.radius] = g
 
     total = float(np.max(bg.rho[keep] ** (-gamma_eff[keep]) * np.abs(f[keep])))
 
@@ -359,9 +360,7 @@ def weighted_norm(bg: ConicalBackground, f: np.ndarray, spec) -> float:
         grad_vert /= wsum[:, None]
 
     # Hoelder seminorm over mesh edges not touching a cone vertex
-    e = np.vstack([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]])
-    e.sort(axis=1)
-    e = np.unique(e, axis=0)
+    e = _unique_edges(mesh.faces)
     ok = keep[e[:, 0]] & keep[e[:, 1]]
     e = e[ok]
     d = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)

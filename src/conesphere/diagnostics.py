@@ -21,6 +21,7 @@ from .background import ConicalBackground, curvature_map
 from .divisor import ConePoint, Divisor
 from .errors import DomainError, GeometryError, ScopeError, ShapeError, SpectralError
 from .mesh import SphereMesh
+from .moebius import stereographic_chart
 from .solver import linearize
 
 _EIG_SEED = 20260826
@@ -131,15 +132,10 @@ def conformal_killing_residual(bg: ConicalBackground, h: np.ndarray) -> float:
         ring = sorted(mesh.ring(v, 2))
         if len(ring) < 7:
             raise GeometryError(f"2-ring of vertex {v} too small for a quadratic fit")
-        normal = verts[v]
-        axis = np.zeros(3)
-        axis[int(np.argmin(np.abs(normal)))] = 1.0
-        e1 = axis - (axis @ normal) * normal
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
+        frame = stereographic_chart(verts[v])
         rel = verts[ring] - verts[v]
-        xi = rel @ e1
-        eta = rel @ e2
+        xi = rel @ frame.e1
+        eta = rel @ frame.e2
         basis = np.column_stack(
             [np.ones_like(xi), xi, eta, 0.5 * xi**2, xi * eta, 0.5 * eta**2]
         )

@@ -1,6 +1,6 @@
 """Triangulated unit-sphere meshes: icosphere refinement, cone-vertex
 snapping, local longest-edge grading, cotangent stiffness and lumped
-spherical areas, stereographic charts, and simple exporters.
+spherical areas, and simple exporters.
 
 All vertices live exactly on the unit sphere.  The discrete Laplacian is
 the cotangent stiffness matrix W (symmetric positive semidefinite, rows
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .divisor import Divisor, geodesic_distance
+from .divisor import Divisor
 from .errors import MeshError, ShapeError
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -95,9 +95,8 @@ def _vertex_adjacency(n_verts, faces):
     return nbrs
 
 
-def vertex_rings(n_verts, faces, center, depth):
+def _rings(nbrs, center, depth):
     """Vertex indices within graph distance `depth` of `center` (center included)."""
-    nbrs = _vertex_adjacency(n_verts, faces)
     ring = {center}
     frontier = {center}
     for _ in range(depth):
@@ -121,7 +120,7 @@ def _snap_cones(verts, faces, positions):
     frozen = set(cone_ids)
     free = set()
     for i in cone_ids:
-        free |= vertex_rings(len(verts), faces, i, 2)
+        free |= _rings(nbrs, i, 2)
     free -= frozen
     for _ in range(10):
         for v in free:
@@ -241,7 +240,14 @@ def _grade_mesh(verts, faces, positions, grading, grading_radius, h_base):
 
 
 # ---------------------------------------------------------------------------
-# Areas and stiffness
+# Edges, areas and stiffness
+
+
+def _unique_edges(faces):
+    """Each undirected edge once, as rows (i, j) with i < j, sorted."""
+    e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    e.sort(axis=1)
+    return np.unique(e, axis=0)
 
 
 def spherical_face_areas(verts, faces):
@@ -255,14 +261,6 @@ def spherical_face_areas(verts, faces):
     if np.any(area <= 0.0):
         raise MeshError("degenerate face with nonpositive spherical area")
     return area
-
-
-def barycentric_node_areas(verts, faces):
-    face_area = spherical_face_areas(verts, faces)
-    areas = np.zeros(len(verts))
-    for k in range(3):
-        np.add.at(areas, faces[:, k], face_area / 3.0)
-    return areas
 
 
 def lumped_node_areas(verts, faces):
@@ -374,25 +372,13 @@ class SphereMesh:
             self._lap_edges = (coo.row[off], coo.col[off], -coo.data[off])
         return self._lap_edges
 
-    def integrate(self, f: np.ndarray) -> float:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n_vertices,):
-            raise ShapeError(f"grid function has shape {f.shape}, mesh has {self.n_vertices} nodes")
-        return float(f @ self.areas)
-
     def adjacency(self):
         if self._adjacency is None:
             self._adjacency = _vertex_adjacency(self.n_vertices, self.faces)
         return self._adjacency
 
     def ring(self, center: int, depth: int = 2):
-        nbrs = self.adjacency()
-        ring = {center}
-        frontier = {center}
-        for _ in range(depth):
-            frontier = set().union(*(nbrs[v] for v in frontier)) - ring
-            ring |= frontier
-        return ring
+        return _rings(self.adjacency(), center, depth)
 
     def min_incident_edge(self, vertex: int) -> float:
         nbrs = self.adjacency()[vertex]
@@ -401,9 +387,7 @@ class SphereMesh:
         return min(float(np.linalg.norm(self.vertices[vertex] - self.vertices[u])) for u in nbrs)
 
     def edge_lengths(self) -> np.ndarray:
-        e = np.vstack([self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]])
-        e.sort(axis=1)
-        e = np.unique(e, axis=0)
+        e = _unique_edges(self.faces)
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
 
     def face_gradients(self, f: np.ndarray) -> np.ndarray:
@@ -458,57 +442,6 @@ def build_mesh(
         grading_radius=grading_radius,
         h_base=h_base,
     )
-
-
-# ---------------------------------------------------------------------------
-# Stereographic charts
-
-
-@dataclass(frozen=True)
-class StereoChart:
-    """Stereographic chart projecting from the pole `q`; the antipode of q
-    maps to 0, q itself to infinity, and the equator {p . q = 0} to |z| = 1."""
-
-    pole: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-
-    def project(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x = pts @ self.e1
-        y = pts @ self.e2
-        h = pts @ self.pole
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (x + 1j * y) / (1.0 - h)
-        z = np.where(np.isclose(h, 1.0), np.inf + 0j, z)
-        return z if np.asarray(points).ndim > 1 else z[0]
-
-    def unproject(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        r2 = np.abs(z) ** 2
-        finite = np.isfinite(r2)
-        out = np.empty((len(z), 3))
-        out[~finite] = self.pole
-        zf, r2f = z[finite], r2[finite]
-        denom = 1.0 + r2f
-        out[finite] = (
-            np.outer(2.0 * zf.real / denom, self.e1)
-            + np.outer(2.0 * zf.imag / denom, self.e2)
-            + np.outer((r2f - 1.0) / denom, self.pole)
-        )
-        return out if np.asarray(z).ndim > 0 and np.ndim(np.asarray(z)) == 1 and len(z) > 1 else out[0]
-
-
-def stereographic_chart(pole) -> StereoChart:
-    q = np.asarray(pole, dtype=float)
-    q = q / np.linalg.norm(q)
-    # deterministic tangent frame: start from the coordinate axis least aligned with q
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(q)))] = 1.0
-    e1 = axis - (axis @ q) * q
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(q, e1)
-    return StereoChart(pole=q, e1=e1, e2=e2)
 
 
 # ---------------------------------------------------------------------------

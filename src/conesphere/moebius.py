@@ -20,9 +20,31 @@ import numpy as np
 
 from .divisor import Divisor
 from .errors import ClosureViolation, DomainError, ScopeError
-from .mesh import StereoChart, stereographic_chart
 
 _BETA_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class StereoChart:
+    """Right-handed frame of the stereographic chart projecting from `pole`:
+    the antipode of the pole maps to 0, the pole itself to infinity, and the
+    equator {p . pole = 0} to |z| = 1 (see _project_hom)."""
+
+    pole: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+
+
+def stereographic_chart(pole) -> StereoChart:
+    q = np.asarray(pole, dtype=float)
+    q = q / np.linalg.norm(q)
+    # deterministic tangent frame: start from the coordinate axis least aligned with q
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(q)))] = 1.0
+    e1 = axis - (axis @ q) * q
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(q, e1)
+    return StereoChart(pole=q, e1=e1, e2=e2)
 
 
 def _project_hom(chart: StereoChart, points):

@@ -105,15 +105,21 @@ def _free_nodes(bg: ConicalBackground) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _derivative(bg: ConicalBackground, d, s):
+    """diag(d) + diag(s / A) W on all nodes, with A the node areas and W the
+    stiffness.  The one assembly of the derivative: Newton's Jacobian and the
+    linearized curvature map differ only in the fields d and s."""
+    return sp.diags(d) + sp.diags(s / bg.mesh.areas) @ bg.mesh.stiffness
+
+
 def linearize(bg: ConicalBackground, u: np.ndarray) -> LinearizedOperator:
     u = bg._check_pinned(u)
-    Kg = curvature_map(bg, u)
+    diag_field = -2.0 * curvature_map(bg, u)
     mult = np.exp(-2.0 * u) * bg.rho_pow_neg2beta
     free = _free_nodes(bg)
-    W = bg.mesh.stiffness[free][:, free]
-    M = sp.diags(-2.0 * Kg[free]) + sp.diags(mult[free] / bg.mesh.areas[free]) @ W
+    M = _derivative(bg, diag_field, mult)[free][:, free]
     return LinearizedOperator(
-        background=bg, matrix=M.tocsr(), free=free, diag_field=-2.0 * Kg, multiplier=mult
+        background=bg, matrix=M, free=free, diag_field=diag_field, multiplier=mult
     )
 
 
@@ -123,15 +129,10 @@ def self_adjointness_defect(bg: ConicalBackground, u, f, g) -> float:
     u = np.asarray(u, dtype=float)
     if np.any(u != 0.0):
         raise ScopeError("self-adjointness is assembled at the base point u = 0 only")
-    f = bg._check_pinned(f, "f")
-    g = bg._check_pinned(g, "g")
-    a = 2.0 * bg.m_field
-
-    def L(h):
-        return bg.rho_pow_neg2beta * (a * h + bg.mesh.laplace(h))
-
+    # linearize gives -L, whose defect is the same as that of L
+    neg_L = linearize(bg, u).apply
     w = bg.rho_pow_2beta * bg.mesh.areas
-    return abs(float(np.sum(f * L(g) * w)) - float(np.sum(L(f) * g * w)))
+    return abs(float(np.sum(f * neg_L(g) * w)) - float(np.sum(neg_L(f) * g * w)))
 
 
 def _product_field(bg: ConicalBackground, K):
@@ -157,10 +158,7 @@ def _residual(bg: ConicalBackground, u, G):
 
 def _jacobian(bg: ConicalBackground, u, lap_u):
     e = np.exp(-2.0 * u)
-    return (
-        sp.diags(-2.0 * e * (bg.m_field - lap_u))
-        + sp.diags(e / bg.mesh.areas) @ bg.mesh.stiffness
-    ).tocsc()
+    return _derivative(bg, -2.0 * e * (bg.m_field - lap_u), e).tocsc()
 
 
 def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = SolverConfig()):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,21 @@ def test_example_triangle(tmp_path):
     rep = read_report(tmp_path, "example.json")["report"]
     assert rep["symmetry_group_order"] == 6
     assert rep["euler_characteristic"] > 0.0
+
+
+def test_example_football(tmp_path):
+    assert main(["example", "--name", "football", "--k", "3", "--out", str(tmp_path)]) == 0
+    rep = read_report(tmp_path, "example.json")["report"]
+    assert rep["area"]["relative_error"] <= 0.03
+    assert 2.0 <= rep["eigenvalues"][1] <= 2.2  # exact value 2
+    assert math.isfinite(rep["curvature_rms_deviation"])
+
+
+def test_readme_job_config_checks(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    path = write_config(tmp_path, json.loads(block))
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 0
 
 
 def test_example_unknown_name(tmp_path):

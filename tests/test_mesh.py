@@ -7,7 +7,7 @@ import pytest
 
 from conesphere.divisor import equatorial_divisor, flagship_divisor
 from conesphere.errors import MeshError, ShapeError
-from conesphere.mesh import build_mesh, icosphere, stereographic_chart, write_csv, write_off
+from conesphere.mesh import build_mesh, icosphere, write_csv, write_off
 
 
 def edge_set(faces):
@@ -126,16 +126,3 @@ def test_write_csv_and_off(tmp_path):
     with pytest.raises(ShapeError):
         write_csv(tmp_path / "bad.csv", mesh, f[:-1])
 
-
-def test_stereographic_chart_geometry():
-    q = np.array([0.0, 0.0, 1.0])
-    chart = stereographic_chart(q)
-    # the antipode maps to the origin, the equator to the unit circle
-    z = chart.project(np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]))
-    assert abs(z[0]) < 1e-14
-    assert abs(abs(z[1]) - 1.0) < 1e-14
-    # round trip
-    pts = build_mesh(2).vertices
-    pts = pts[pts @ q < 0.9]
-    back = chart.unproject(chart.project(pts))
-    assert np.max(np.linalg.norm(back - pts, axis=1)) < 1e-12

@@ -8,10 +8,13 @@ import pytest
 from conesphere.divisor import divisor, equatorial_divisor, flagship_divisor
 from conesphere.errors import DomainError, ScopeError
 from conesphere.moebius import (
+    _project_hom,
+    _unproject_hom,
     conformal_distortion,
     enumerate_conformal_symmetries,
     identity_map,
     moebius_from_triples,
+    stereographic_chart,
 )
 
 
@@ -24,6 +27,21 @@ def sample_points(n=40, seed=0):
 def rotation_z(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_stereographic_chart_geometry():
+    q = np.array([0.0, 0.0, 1.0])
+    chart = stereographic_chart(q)
+    # the antipode maps to the origin, the equator to the unit circle, the
+    # pole itself to infinity
+    z, w = _project_hom(chart, np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], q]))
+    assert abs(z[0] / w[0]) < 1e-14
+    assert abs(abs(z[1] / w[1]) - 1.0) < 1e-14
+    assert w[2] == 0.0 and z[2] != 0.0
+    # round trip, the pole included
+    pts = np.vstack([sample_points(), q])
+    back = _unproject_hom(chart, *_project_hom(chart, pts))
+    assert np.max(np.linalg.norm(back - pts, axis=1)) < 1e-12
 
 
 def test_identity_map():

@@ -7,6 +7,8 @@ from conesphere.background import curvature_map, gauss_bonnet
 from conesphere.errors import DomainError, NonPositiveTarget, ScopeError
 from conesphere.solver import (
     SolverConfig,
+    _jacobian,
+    _residual,
     continuation_solve,
     linearize,
     newton_solve,
@@ -96,6 +98,22 @@ def test_linearize_matches_finite_differences(flagship_bg_small):
     fd = (curvature_map(bg, u + t * h) - curvature_map(bg, u - t * h)) / (2.0 * t)
     rel = np.max(np.abs((fd - exact)[free])) / np.max(np.abs(exact[free]))
     assert rel < 1e-6
+
+
+def test_newton_jacobian_matches_finite_differences(flagship_bg_small):
+    # Newton's u is not pinned, so every row is checked, the cone rows too
+    bg = flagship_bg_small
+    rng = np.random.default_rng(15)
+    u = rng.standard_normal(bg.n_vertices) * 0.2
+    h = rng.standard_normal(bg.n_vertices) * 0.2
+    G = np.zeros(bg.n_vertices)  # the data term does not depend on u
+    exact = _jacobian(bg, u, bg.mesh.laplace(u)) @ h
+    t = 1e-4
+    fd = (_residual(bg, u + t * h, G)[0] - _residual(bg, u - t * h, G)[0]) / (2.0 * t)
+    err = np.abs(fd - exact)
+    assert np.max(err) / np.max(np.abs(exact)) < 1e-6
+    cones = bg.cone_vertices
+    assert np.max(err[cones]) / np.max(np.abs(exact[cones])) < 1e-6
 
 
 def test_linearized_matrix_consistent_with_apply(flagship_bg_small):
