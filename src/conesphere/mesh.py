@@ -12,6 +12,7 @@ so they sum to the exact sphere area 4*pi up to roundoff.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,23 +51,33 @@ def _icosahedron():
     return verts, faces
 
 
+def _row_norms(d):
+    """Euclidean norm of each row of `d` (or of `d` itself, if 1-D)."""
+    # Bit for bit np.linalg.norm of a 3-vector (both use BLAS ddot): length near-ties decide faces.
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _face_edges(faces):
+    """Directed edges ab, bc, ca of each face in turn, as rows."""
+    return faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+
+
 def _subdivide(verts, faces):
-    verts = list(verts)
-    midpoint = {}
-
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            m = verts[a] + verts[b]
-            verts.append(m / np.linalg.norm(m))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(verts), np.array(out, dtype=np.int64)
+    """Split each face in four; edge midpoints are numbered in order of
+    first occurrence along the face list, each face visiting ab, bc, ca."""
+    n = len(verts)
+    e = _face_edges(faces)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    _, first, inv = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ab, bc, ca = (n + rank[inv]).reshape(-1, 3).T
+    m = verts[lo[first[order]]] + verts[hi[first[order]]]
+    m /= _row_norms(m)[:, None]
+    a, b, c = faces.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return np.vstack([verts, m]), out
 
 
 def icosphere(level: int):
@@ -133,55 +144,74 @@ def _snap_cones(verts, faces, positions):
 # Conforming longest-edge bisection grading
 
 
-class _EditableMesh:
-    """Face-list mesh supporting conforming longest-edge (Rivara) bisection."""
+class _Grading:
+    """Conforming longest-edge (Rivara) bisection on flat buffers.
+
+    Faces are appended to `faces` (flat int64), with a live flag in `alive`
+    and their longest edge length in `longest`; `rec[f]` is face f rotated
+    longest edge first, with its three edge lengths.  Vertices never move, so
+    each edge length is computed once, over `_unique_edges` or when the edge
+    is made, and handed down to the faces that share it.  `half[a][b]` is the
+    live face that owns directed edge ab, so the mesh must be closed and
+    consistently oriented, as icosphere meshes are.  (One small dict per
+    vertex, not one large one, keeps the process's peak memory down.)
+    """
 
     def __init__(self, verts, faces):
-        self.verts = [np.asarray(v, dtype=float) for v in verts]
-        self.faces = [tuple(int(i) for i in f) for f in faces]
-        self.alive = [True] * len(self.faces)
-        self.edge_faces = {}
-        for fid, f in enumerate(self.faces):
-            for e in self._edges(f):
-                self.edge_faces.setdefault(e, set()).add(fid)
+        self.verts = np.array(verts, dtype=float)
+        self.nv = len(verts)
+        self.faces = array("q")
+        self.alive = bytearray()
+        self.longest = array("d")
+        self.rec = []
+        self.half = [{} for _ in range(len(verts))]
+        edges, inv = _unique_edges(faces, return_inverse=True)
+        length = _row_norms(self.verts[edges[:, 0]] - self.verts[edges[:, 1]])
+        for f, l in zip(faces.tolist(), length[inv].reshape(-1, 3).tolist()):
+            self._add(*f, *l)
 
-    @staticmethod
-    def _edges(face):
-        a, b, c = face
-        return (frozenset((a, b)), frozenset((b, c)), frozenset((c, a)))
+    def _add(self, a, b, c, lab, lbc, lca):
+        """Append face (a, b, c), whose edges ab, bc, ca have the given lengths."""
+        # Rotate the longest edge first.  Equal lengths go to the larger
+        # sorted pair, so the two faces on an edge agree on it.
+        best = (lab, a, b) if a < b else (lab, b, a)
+        rec = (a, b, c, lab, lbc, lca)
+        key = (lbc, b, c) if b < c else (lbc, c, b)
+        if key > best:
+            best, rec = key, (b, c, a, lbc, lca, lab)
+        key = (lca, c, a) if c < a else (lca, a, c)
+        if key > best:
+            best, rec = key, (c, a, b, lca, lab, lbc)
+        half, fid = self.half, len(self.rec)
+        half[a][b] = half[b][c] = half[c][a] = fid
+        self.rec.append(rec)
+        self.faces.extend((a, b, c))
+        self.alive.append(1)
+        self.longest.append(best[0])
 
-    def _edge_len(self, e):
-        a, b = tuple(e)
-        return float(np.linalg.norm(self.verts[a] - self.verts[b]))
+    def _split(self, fid, m, l_am, l_mb, l_mc):
+        """Replace face fid, (a, b, c) longest edge first, by (a, m, c) and
+        (m, b, c), where m is the midpoint of ab."""
+        a, b, c, _, lbc, lca = self.rec[fid]
+        self.alive[fid] = 0
+        del self.half[a][b]
+        self._add(a, m, c, l_am, l_mc, lca)
+        self._add(m, b, c, l_mb, lbc, l_mc)
 
-    def longest_edge(self, fid):
-        # deterministic tie-break so neighbors agree on shared longest edges
-        return max(self._edges(self.faces[fid]), key=lambda e: (self._edge_len(e), tuple(sorted(e))))
-
-    def _midpoint_vertex(self, e):
-        a, b = tuple(e)
-        m = self.verts[a] + self.verts[b]
-        self.verts.append(m / np.linalg.norm(m))
-        return len(self.verts) - 1
-
-    def _split(self, fid, e, m):
-        face = self.faces[fid]
-        a, b = tuple(e)
-        # rotate so the split edge comes first, preserving orientation
-        for _ in range(3):
-            if {face[0], face[1]} == {a, b}:
-                break
-            face = (face[1], face[2], face[0])
-        a, b, c = face
-        self.alive[fid] = False
-        for edge in self._edges(face):
-            self.edge_faces[edge].discard(fid)
-        for new in ((a, m, c), (m, b, c)):
-            self.faces.append(new)
-            self.alive.append(True)
-            nid = len(self.faces) - 1
-            for edge in self._edges(new):
-                self.edge_faces.setdefault(edge, set()).add(nid)
+    def _midpoint(self, a, b, c, d):
+        """Append the normalised midpoint m of edge ab; return m and its
+        distances to a, b, c and d."""
+        m = self.nv
+        self.nv += 1
+        self.half.append({})
+        if m == len(self.verts):
+            self.verts = np.concatenate([self.verts, np.empty_like(self.verts)])
+        r = self.verts.take([a, b, c, d], axis=0)
+        p = r[0] + r[1]
+        p /= _row_norms(p)
+        self.verts[m] = p
+        r -= p
+        return m, _row_norms(r).tolist()
 
     def bisect(self, fid):
         """Conforming bisection of one face by longest-edge propagation."""
@@ -195,59 +225,64 @@ class _EditableMesh:
             if not self.alive[t]:
                 stack.pop()
                 continue
-            e = self.longest_edge(t)
-            nb = [f for f in self.edge_faces[e] if f != t and self.alive[f]]
-            nb = nb[0] if nb else None
-            if nb is None or self.longest_edge(nb) == e:
-                m = self._midpoint_vertex(e)
-                self._split(t, e, m)
-                if nb is not None:
-                    self._split(nb, e, m)
+            a, b, c = self.rec[t][:3]
+            nb = self.half[b][a]
+            if self.rec[nb][:2] == (b, a):
+                m, (l_am, l_mb, l_mc, l_mc2) = self._midpoint(a, b, c, self.rec[nb][2])
+                self._split(t, m, l_am, l_mb, l_mc)
+                self._split(nb, m, l_mb, l_am, l_mc2)
                 stack.pop()
             else:
                 stack.append(nb)
 
+    def sweep(self, pos, cos_r, target):
+        """Bisect, in id order, every live face that touches the ball
+        {x : x . pos >= cos_r} and whose longest edge is at least `target`.
+        Returns whether any face qualified."""
+        near = self.verts[: self.nv] @ pos >= cos_r
+        f = np.frombuffer(self.faces, dtype=np.int64).reshape(-1, 3)
+        todo = np.flatnonzero(
+            np.frombuffer(self.alive, dtype=bool)
+            & (near[f[:, 0]] | near[f[:, 1]] | near[f[:, 2]])
+            & (np.frombuffer(self.longest) >= target)
+        ).tolist()
+        del f  # the buffers cannot grow while numpy views them
+        for fid in todo:
+            if self.alive[fid]:
+                self.bisect(fid)
+        return len(todo) > 0
+
     def arrays(self):
-        verts = np.array(self.verts)
-        old_ids = [i for i, ok in enumerate(self.alive) if ok]
-        faces = np.array([self.faces[i] for i in old_ids], dtype=np.int64)
-        return verts, faces
+        faces = np.frombuffer(self.faces, dtype=np.int64).reshape(-1, 3)
+        return self.verts[: self.nv].copy(), faces[np.frombuffer(self.alive, dtype=bool)]
 
 
 def _grade_mesh(verts, faces, positions, grading, grading_radius, h_base):
-    em = _EditableMesh(verts, faces)
+    """Refine around each cone position in turn: `grading` levels, level l
+    halving edges down to h_base / 2**(l+1) within grading_radius / 2**l."""
+    g = _Grading(verts, faces)
     for pos in positions:
         for level in range(grading):
             radius = grading_radius * 0.5**level
             target = h_base * 0.5 ** (level + 1)
             cos_r = math.cos(min(radius, math.pi))
-            while True:
-                vs = np.array(em.verts)
-                near = vs @ pos >= cos_r
-                todo = [
-                    fid
-                    for fid, f in enumerate(em.faces)
-                    if em.alive[fid]
-                    and (near[f[0]] or near[f[1]] or near[f[2]])
-                    and em._edge_len(em.longest_edge(fid)) >= target
-                ]
-                if not todo:
-                    break
-                for fid in todo:
-                    if em.alive[fid]:
-                        em.bisect(fid)
-    return em.arrays()
+            while g.sweep(pos, cos_r, target):
+                pass
+    return g.arrays()
 
 
 # ---------------------------------------------------------------------------
 # Edges, areas and stiffness
 
 
-def _unique_edges(faces):
-    """Each undirected edge once, as rows (i, j) with i < j, sorted."""
-    e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
+def _unique_edges(faces, return_inverse=False):
+    """Each undirected edge once, as rows (i, j) with i < j, sorted.  With
+    `return_inverse`, also the row holding each row of `_face_edges(faces)`."""
+    e = np.sort(_face_edges(faces), axis=1)
+    n = int(e.max()) + 1
+    key, inv = np.unique(e[:, 0] * n + e[:, 1], return_inverse=True)
+    edges = np.stack([key // n, key % n], axis=1)
+    return (edges, inv) if return_inverse else edges
 
 
 def spherical_face_areas(verts, faces):
@@ -425,7 +460,7 @@ def build_mesh(
     else:
         cone_ids = []
 
-    e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    e = _face_edges(faces)
     h_base = float(np.max(np.linalg.norm(verts[e[:, 0]] - verts[e[:, 1]], axis=1)))
 
     if grading > 0 and len(positions):
@@ -462,7 +497,7 @@ def write_csv(path, mesh: SphereMesh, values: np.ndarray):
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_vertices,):
         raise ShapeError(f"values shape {values.shape} does not match {mesh.n_vertices} nodes")
+    rows = np.column_stack([mesh.vertices, values])
     with open(path, "w") as fh:
         fh.write("x,y,z,value\n")
-        for v, val in zip(mesh.vertices, values):
-            fh.write(f"{v[0]:.17g},{v[1]:.17g},{v[2]:.17g},{val:.17g}\n")
+        fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))

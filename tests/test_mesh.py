@@ -1,13 +1,16 @@
 """Icosphere construction, grading, and the discrete calculus on it."""
 
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conesphere.diagnostics import football_divisor
 from conesphere.divisor import equatorial_divisor, flagship_divisor
 from conesphere.errors import MeshError, ShapeError
-from conesphere.mesh import build_mesh, icosphere, write_csv, write_off
+from conesphere.mesh import _icosahedron, _unique_edges, build_mesh, icosphere, write_csv, write_off
 
 
 def edge_set(faces):
@@ -21,6 +24,44 @@ def test_icosphere_vertex_count():
         verts, faces = icosphere(level)
         assert len(verts) == 10 * 4**level + 2
         assert np.allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-14)
+
+
+def loop_subdivide(verts, faces):
+    """One subdivision step, face by face: the reference for `icosphere`."""
+    verts = list(verts)
+    midpoint = {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            m = verts[a] + verts[b]
+            verts.append(m / np.linalg.norm(m))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(verts), np.array(out, dtype=np.int64)
+
+
+def test_icosphere_matches_loop_subdivision():
+    ref_v, ref_f = _icosahedron()
+    for level in range(5):
+        verts, faces = icosphere(level)
+        assert verts.tobytes() == ref_v.tobytes()
+        np.testing.assert_array_equal(faces, ref_f)
+        ref_v, ref_f = loop_subdivide(ref_v, ref_f)
+
+
+def test_unique_edges_matches_row_unique():
+    faces = build_mesh(3, flagship_divisor(), grading=2).faces
+    e = np.sort(np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
+    np.testing.assert_array_equal(_unique_edges(faces), np.unique(e, axis=0))
+    edges, inv = _unique_edges(faces, return_inverse=True)
+    ab_bc_ca = np.sort(faces[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+    np.testing.assert_array_equal(edges[inv], ab_bc_ca)
 
 
 def test_euler_formula_holds():
@@ -86,6 +127,35 @@ def test_grading_refines_near_cones():
     assert fine.n_vertices < 4 * coarse.n_vertices
 
 
+@pytest.mark.parametrize(
+    "div, base, grading",
+    [(flagship_divisor(), 4, 3), (football_divisor(3), 4, 2)],
+    ids=["flagship-b4-g3", "football3-b4-g2"],
+)
+def test_graded_mesh_is_a_closed_oriented_surface(div, base, grading):
+    mesh = build_mesh(base, div, grading=grading)
+    f = mesh.faces
+    directed = Counter(map(tuple, np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]).tolist()))
+    assert set(directed.values()) == {1}
+    undirected = Counter(tuple(sorted(e)) for e in directed)
+    assert set(undirected.values()) == {2}
+    assert mesh.n_vertices - len(undirected) + len(f) == 2
+    assert np.max(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1.0)) <= 1e-15
+    assert np.array_equal(mesh.vertices[mesh.cone_vertices], div.positions)
+
+
+def test_graded_mesh_matches_recorded_mesh():
+    # Recorded with the earlier face-list grader.  Near-ties between edge
+    # lengths decide the faces, so a change in the arithmetic shows here.
+    with np.load(Path(__file__).parent / "data" / "flagship_base3_grading2.npz") as ref:
+        ref = dict(ref)
+    mesh = build_mesh(3, flagship_divisor(), grading=2)
+    assert mesh.n_vertices == 1338
+    np.testing.assert_array_equal(mesh.faces, ref["faces"])
+    np.testing.assert_array_equal(mesh.cone_vertices, ref["cone_vertices"])
+    np.testing.assert_array_max_ulp(mesh.vertices, ref["vertices"], maxulp=1)
+
+
 def test_build_mesh_parameter_validation():
     div = flagship_divisor()
     with pytest.raises(MeshError):
@@ -110,7 +180,11 @@ def test_write_csv_and_off(tmp_path):
     f = mesh.vertices[:, 0]
     csv = tmp_path / "field.csv"
     write_csv(csv, mesh, f)
-    lines = csv.read_text().splitlines()
+    text = csv.read_text()
+    assert text == "x,y,z,value\n" + "".join(
+        f"{v[0]:.17g},{v[1]:.17g},{v[2]:.17g},{val:.17g}\n" for v, val in zip(mesh.vertices, f)
+    )
+    lines = text.splitlines()
     assert lines[0] == "x,y,z,value"
     assert len(lines) == mesh.n_vertices + 1
     data = np.loadtxt(csv, delimiter=",", skiprows=1)
