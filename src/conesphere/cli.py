@@ -60,7 +60,10 @@ def _require(mapping, key, context):
 def _as_float(value, context):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{context} is too large for a float") from None
 
 
 def _as_int(value, context):

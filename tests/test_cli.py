@@ -1,16 +1,20 @@
 """Command line front end: config parsing, reports, exit codes."""
 
+import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conesphere.cli import main
 from conesphere.mesh import build_mesh, write_csv
 from conesphere.divisor import flagship_divisor
+from conesphere.solver import SolverConfig
 
 
 def flagship_config(**overrides):
@@ -90,6 +94,43 @@ def test_bad_position_exits_2(tmp_path):
     assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+def test_non_finite_solver_setting_exits_2(tmp_path):
+    # a NaN tolerance used to report convergence after 0 Newton iterations
+    for key in ("newton_tol", "linear_tol"):
+        path = write_config(tmp_path, flagship_config(solver={key: math.nan}))
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+
+solver_values = st.one_of(
+    st.integers(),
+    st.sampled_from([0, -1, 2**63, 10**308, 10**309, 10**400, -10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+
+
+def _solver_value_valid(key, value):
+    """Integer fields take integers, the others any number; every value is
+    positive and at most the largest float, and newton_tol is below 1."""
+    kinds = int if isinstance(SOLVER_DEFAULTS[key], int) else (int, float)
+    return (
+        isinstance(value, kinds)
+        and 0 < value <= sys.float_info.max
+        and not (key == "newton_tol" and value >= 1)
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(section=st.dictionaries(st.sampled_from(sorted(SOLVER_DEFAULTS)), solver_values))
+def test_check_fuzzed_solver_section(tmp_path_factory, section):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = write_config(tmp, flagship_config(solver=section))
+    valid = all(_solver_value_valid(k, v) for k, v in section.items())
+    assert main(["check", "--config", path, "--out", str(tmp)]) == (0 if valid else 2)
+
+
 def test_lat_lon_positions(tmp_path):
     cfg = flagship_config()
     cfg["divisor"][0]["position"] = {"lat": 0.0, "lon": 0.0}
@@ -125,6 +166,14 @@ def test_solve_reports_are_deterministic(tmp_path):
     b = json.loads((b_dir / "solve.json").read_text())
     assert a["report"] == b["report"]
     assert (a_dir / "u.csv").read_text() == (b_dir / "u.csv").read_text()
+
+
+def test_solve_huge_max_step_halvings(tmp_path):
+    # the smallest step used to be dt / 2**max_step_halvings: OverflowError
+    cfg = flagship_config(mesh={"base_level": 2}, solver={"max_step_halvings": 2000},
+                          outputs={"fields": False})
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
 
 
 def test_solve_negative_expression_exits_1(tmp_path):

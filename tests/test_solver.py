@@ -1,10 +1,14 @@
 """Newton and continuation solvers plus the linearized operator."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from conesphere import solver
 from conesphere.background import curvature_map, gauss_bonnet
-from conesphere.errors import DomainError, NonPositiveTarget, ScopeError
+from conesphere.errors import ContinuationStall, DomainError, NonPositiveTarget, ScopeError
 from conesphere.solver import (
     SolverConfig,
     _jacobian,
@@ -26,6 +30,11 @@ def test_solver_config_validation():
         SolverConfig(newton_tol=2.0)
     with pytest.raises(DomainError):
         SolverConfig(max_newton_iters=0)
+    # a NaN tolerance used to pass every comparison and report convergence
+    for f in dataclasses.fields(SolverConfig):
+        for value in (math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(DomainError):
+                SolverConfig(**{f.name: value})
 
 
 def test_identity_solution(flagship_bg_small):
@@ -43,6 +52,8 @@ def test_manufactured_solution(flagship_bg_small):
     u, rep = newton_solve(bg, K, np.zeros(bg.n_vertices))
     assert rep.converged
     assert np.max(np.abs(u - v)) <= 1e-10
+    # background-type target: the solved apex values vanish
+    assert np.max(np.abs(u[bg.cone_vertices])) <= 1e-8
 
 
 def test_pinned_test_factor_properties(flagship_bg_small):
@@ -83,6 +94,43 @@ def test_continuation_on_linear_target(flagship_bg_small):
     free = np.ones(bg.n_vertices, bool)
     free[bg.cone_vertices] = False
     assert np.max(np.abs(ach[free] - K[free])) < 1e-7
+
+
+def test_continuation_step_control(flagship_bg_small, monkeypatch):
+    # three Newton iterations are too few for the full step: it is halved,
+    # and every accepted step tries to double the step again
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    targets = []
+    newton = solver.newton_solve
+
+    def spy(bg, K_t, u0, cfg):
+        targets.append(K_t)
+        return newton(bg, K_t, u0, cfg)
+
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    cfg = SolverConfig(continuation_steps=1, newton_tol=1e-9, max_newton_iters=3)
+    _, rep = continuation_solve(bg, K, cfg)
+    assert rep.final_residual_sup <= 1e-9
+    assert rep.warnings
+    assert all(w.startswith("step halved") for w in rep.warnings)
+    assert len(targets) == len(rep.continuation_path) + len(rep.warnings)
+    t = np.array([0.0] + [step[0] for step in rep.continuation_path])
+    assert np.all(np.diff(t) > 0.0) and t[-1] == 1.0
+    # regrowth: an attempt from t[i] failed although the step accepted there
+    # is no shorter than the step before it, so the failed attempt was longer
+    halved_at = {w.split("t = ")[1].split(":")[0] for w in rep.warnings}
+    dt = np.diff(t)
+    assert any(f"{t[i]:.4f}" in halved_at and dt[i] >= dt[i - 1] for i in range(1, len(dt)))
+    # with four iterations a regrown step is cut short at t = 1 and fails; the
+    # retry halves the step tried, so no failed step is tried again unchanged
+    targets.clear()
+    continuation_solve(bg, K, SolverConfig(newton_tol=1e-9, max_newton_iters=4))
+    assert not any(np.array_equal(a, b) for a, b in zip(targets, targets[1:]))
+    # one iteration is too few for every step down to 1/8
+    cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=1, max_step_halvings=3)
+    with pytest.raises(ContinuationStall):
+        continuation_solve(bg, K, cfg)
 
 
 def test_linearize_matches_finite_differences(flagship_bg_small):
