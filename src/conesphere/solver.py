@@ -229,9 +229,9 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
 
     Step rule: the first step is the largest, 1 / cfg.continuation_steps.  A
     step whose Newton solve fails (NewtonDivergence or SingularLinearization)
-    is halved and retried; each accepted step doubles the step again, up to
-    the largest.  ContinuationStall is raised once the step would fall below
-    the largest / 2**cfg.max_step_halvings, or would no longer move t."""
+    is halved and retried, and the halved step is kept for the rest of the
+    path.  ContinuationStall is raised once the step would fall below the
+    largest / 2**cfg.max_step_halvings, or would no longer move t."""
     scope = solver_scope_check(bg.divisor)
     if not scope.passed:
         raise ScopeError(f"divisor outside solver scope: {scope.as_dict()}")
@@ -252,8 +252,8 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
 
     u = np.zeros(bg.n_vertices)
     t = 0.0
-    dt = largest = 1.0 / cfg.continuation_steps
-    smallest = math.ldexp(largest, -cfg.max_step_halvings)  # 2**n overflows for a huge n
+    dt = 1.0 / cfg.continuation_steps
+    smallest = math.ldexp(dt, -cfg.max_step_halvings)  # 2**n overflows for a huge n
     path = []
     warnings = []
     total_iters = 0
@@ -263,7 +263,7 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
         try:
             u_next, rep = newton_solve(bg, K_at(t_next), u, cfg)
         except (NewtonDivergence, SingularLinearization) as exc:
-            dt = 0.5 * min(dt, 1.0 - t)  # half the step tried, which ends at 1 at most
+            dt *= 0.5
             if dt < smallest or t + dt == t:
                 raise ContinuationStall(
                     f"continuation step underflow at t = {t:.4f}: {exc}"
@@ -271,7 +271,6 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
             warnings.append(f"step halved at t = {t:.4f}: {type(exc).__name__}")
             continue
         u, t = u_next, t_next
-        dt = min(2.0 * dt, largest)
         total_iters += rep.newton_iterations_total
         path.append((t, rep.newton_iterations_total, rep.final_residual_sup))
         last_report = rep

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,34 +100,40 @@ def test_non_finite_solver_setting_exits_2(tmp_path):
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
 
 
-SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+def _tagged(valid, invalid):
+    """Values paired with whether the solver section accepts them."""
+    return st.one_of(valid.map(lambda v: (v, True)), invalid.map(lambda v: (v, False)))
 
-solver_values = st.one_of(
-    st.integers(),
-    st.sampled_from([0, -1, 2**63, 10**308, 10**309, 10**400, -10**400]),
-    st.floats(allow_nan=True, allow_infinity=True),
+
+NOT_POSITIVE_FINITE = st.one_of(
+    st.integers(max_value=0),
+    st.integers(min_value=10**309),  # too large for a float
+    st.floats(max_value=0.0),
+    st.sampled_from([math.nan, math.inf]),
     st.text(max_size=4),
+)
+POSITIVE_INTS = st.integers(min_value=1, max_value=2**64)
+COUNT = _tagged(POSITIVE_INTS, st.one_of(NOT_POSITIVE_FINITE, st.floats(min_value=0.5)))
+SOLVER_VALUES = {
+    f.name: COUNT if isinstance(f.default, int) else _tagged(
+        st.one_of(st.floats(min_value=5e-324, allow_infinity=False), POSITIVE_INTS),
+        NOT_POSITIVE_FINITE,
+    )
+    for f in dataclasses.fields(SolverConfig)
+}
+SOLVER_VALUES["newton_tol"] = _tagged(  # a tolerance below 1
+    st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+    st.one_of(NOT_POSITIVE_FINITE, st.floats(min_value=1.0), POSITIVE_INTS),
 )
 
 
-def _solver_value_valid(key, value):
-    """Integer fields take integers, the others any number; every value is
-    positive and at most the largest float, and newton_tol is below 1."""
-    kinds = int if isinstance(SOLVER_DEFAULTS[key], int) else (int, float)
-    return (
-        isinstance(value, kinds)
-        and 0 < value <= sys.float_info.max
-        and not (key == "newton_tol" and value >= 1)
-    )
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(section=st.dictionaries(st.sampled_from(sorted(SOLVER_DEFAULTS)), solver_values))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(section=st.fixed_dictionaries({}, optional=SOLVER_VALUES))
 def test_check_fuzzed_solver_section(tmp_path_factory, section):
     tmp = tmp_path_factory.mktemp("fuzz")
-    path = write_config(tmp, flagship_config(solver=section))
-    valid = all(_solver_value_valid(k, v) for k, v in section.items())
-    assert main(["check", "--config", path, "--out", str(tmp)]) == (0 if valid else 2)
+    cfg = flagship_config(solver={key: value for key, (value, _) in section.items()})
+    valid = all(ok for _, ok in section.values())
+    assert main(["check", "--config", write_config(tmp, cfg), "--out", str(tmp)]) == (0 if valid else 2)
 
 
 def test_lat_lon_positions(tmp_path):
