@@ -345,6 +345,25 @@ def cmd_check(args) -> int:
     return 0 if passed else 1
 
 
+def _cone_entries(bg, u):
+    """Per cone, in divisor order: its vertex, the radius of its 1-ring
+    against the radius of the inner harmonic zone, and u there."""
+    mesh = bg.mesh
+    entries = []
+    for c, point, profile in zip(mesh.cone_vertices, bg.divisor.points, bg.profiles):
+        ring = list(mesh.adjacency()[c])
+        radius = float(np.max(_cone_distance(mesh.vertices[ring], point.position)))
+        delta = float(profile.delta)
+        entries.append({
+            "vertex": int(c),
+            "ring_radius": radius,
+            "harmonic_radius": delta,
+            "ring_in_harmonic_zone": radius < delta,
+            "u": float(u[c]),
+        })
+    return entries
+
+
 def cmd_solve(args) -> int:
     job = Job(args.config)
     payload = {"config": job.resolved()}
@@ -361,6 +380,13 @@ def cmd_solve(args) -> int:
         return 1
     payload["solver"] = report.as_dict()
     payload["n_vertices"] = mesh.n_vertices
+    payload["cones"] = _cone_entries(bg, u)
+    outside = [i for i, cone in enumerate(payload["cones"]) if not cone["ring_in_harmonic_zone"]]
+    if outside:
+        payload["warnings"] = [
+            f"the 1-ring of cones {outside} reaches past the inner harmonic zone, where the "
+            "data term at the cone vertex is exact; raise mesh.grading_levels"
+        ]
     if manufactured is not None:
         payload["manufactured_error"] = float(np.max(np.abs(u - manufactured)))
     if job.outputs["fields"]:

@@ -3,7 +3,8 @@
 A marked configuration of n >= 3 points with cone exponents has a finite
 group of orientation-preserving conformal automorphisms; each candidate is
 pinned down by where it sends a base triple of marked points, so the group
-can be enumerated by brute force over label-compatible ordered triples.
+can be enumerated over label-compatible ordered triples, screened in a few
+batched array passes.
 
 All point arithmetic runs in homogeneous coordinates [z : w] of a
 stereographic chart, which removes every special case at the chart pole
@@ -22,6 +23,8 @@ from .divisor import Divisor
 from .errors import ClosureViolation, DomainError, ScopeError
 
 _BETA_TOL = 1e-12
+_COINCIDENT = 1e-12  # chordal distance below which two points of a triple coincide
+_BLOCK = 256  # maps per batched pass; temporaries are O(_BLOCK * n * n) floats
 
 
 @dataclass(frozen=True)
@@ -83,12 +86,25 @@ def _normalizer(z, w):
 
     Row 1 vanishes on point 1, row 2 on point 3, relative scale fixed by
     sending point 2 to 1; this is the cross-ratio normalizer written so that
-    points at infinity need no special case."""
-    alpha = w[2] * z[1] - z[2] * w[1]
-    beta = w[0] * z[1] - z[0] * w[1]
-    return np.array(
-        [[alpha * w[0], -alpha * z[0]], [beta * w[2], -beta * z[2]]], dtype=complex
-    )
+    points at infinity need no special case.  z and w hold one triple, shape
+    (3,), or a stack of m triples, shape (m, 3), giving m matrices."""
+    z0, z1, z2 = z.T
+    w0, w1, w2 = w.T
+    alpha = w2 * z1 - z2 * w1
+    beta = w0 * z1 - z0 * w1
+    mat = np.array([[alpha * w0, -alpha * z0], [beta * w2, -beta * z2]], dtype=complex)
+    return mat if mat.ndim == 2 else mat.transpose(2, 0, 1)
+
+
+def _adjugate(mat):
+    """Adjugate of a stack of 2x2 matrices: the inverse times the determinant,
+    so it induces the inverse point map."""
+    adj = np.empty_like(mat)
+    adj[..., 0, 0] = mat[..., 1, 1]
+    adj[..., 0, 1] = -mat[..., 0, 1]
+    adj[..., 1, 0] = -mat[..., 1, 0]
+    adj[..., 1, 1] = mat[..., 0, 0]
+    return adj
 
 
 def _normalize_det(mat):
@@ -155,7 +171,7 @@ class MoebiusMap:
 
 def _inv2(mat):
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / det
+    return _adjugate(mat) / det
 
 
 def _chart_transition(pole_from, pole_to):
@@ -192,7 +208,7 @@ def moebius_from_triples(src, dst) -> MoebiusMap:
         raise DomainError("moebius_from_triples expects two triples of sphere points")
     for name, pts in (("src", src), ("dst", dst)):
         for i, j in itertools.combinations(range(3), 2):
-            if np.linalg.norm(pts[i] - pts[j]) < 1e-12:
+            if np.linalg.norm(pts[i] - pts[j]) < _COINCIDENT:
                 raise DomainError(f"{name} points {i} and {j} coincide")
     pole = _pick_pole(np.vstack([src, dst]))
     ch = stereographic_chart(pole)
@@ -217,66 +233,103 @@ def conformal_distortion(phi: MoebiusMap, points):
     return float(eta[0]) if single else eta
 
 
-def _induced_permutation(phi: MoebiusMap, positions, betas, tol):
-    """Permutation of the marked points induced by phi, or None if phi does
-    not preserve the marked set with matching exponents."""
-    images = phi.apply(positions)
+def _induced_permutations(mats, chart: StereoChart, positions, betas, tol):
+    """Permutation of the marked points induced by each matrix of a stack
+    acting in `chart`, and a flag that is True where the map preserves the
+    marked set: every image lies within `tol` of a marked point with the same
+    exponent, and the images form a bijection.  Scale does not move points,
+    so the matrices need not be normalized.  Maps go in blocks of _BLOCK."""
     n = len(positions)
-    perm = np.full(n, -1, dtype=int)
-    for i in range(n):
-        d = np.linalg.norm(positions - images[i], axis=1)
-        j = int(np.argmin(d))
-        if d[j] > tol or abs(betas[i] - betas[j]) > _BETA_TOL:
-            return None
-        perm[i] = j
-    if len(set(perm.tolist())) != n:
-        return None
-    return tuple(perm.tolist())
+    z, w = _project_hom(chart, positions)
+    perms = np.empty((len(mats), n), dtype=int)
+    ok = np.empty(len(mats), dtype=bool)
+    for s in range(0, len(mats), _BLOCK):
+        m = mats[s : s + _BLOCK, :, :, None]
+        images = _unproject_hom(
+            chart, m[:, 0, 0] * z + m[:, 0, 1] * w, m[:, 1, 0] * z + m[:, 1, 1] * w
+        )
+        dist = np.linalg.norm(images.reshape(-1, n, 1, 3) - positions, axis=3)
+        j = np.argmin(dist, axis=2)
+        match = (dist.min(axis=2) <= tol) & (np.abs(betas[j] - betas) <= _BETA_TOL)
+        perms[s : s + _BLOCK] = j
+        ok[s : s + _BLOCK] = match.all(axis=1) & (np.sort(j, axis=1) == np.arange(n)).all(axis=1)
+    return perms, ok
 
 
 def enumerate_conformal_symmetries(div: Divisor, tol: float = 1e-9):
     """All orientation-preserving Moebius maps preserving the marked divisor.
 
-    Brute force: a Moebius map is fixed by the images of a base triple of
-    marked points, so every candidate corresponds to an ordered triple with
-    matching exponents.  Kept maps must permute the full marked set; the
-    result is deduplicated by the induced permutation (a Moebius map is
-    determined by its action on three points) and verified to form a group.
+    A Moebius map is fixed by the images of a base triple of marked points,
+    so every candidate corresponds to an ordered triple with matching
+    exponents.  All candidates are screened at once in one common chart
+    (at _pick_pole of the marked points): the matrix adj(N_dst) N_src of
+    every triple is built from the batched normalizer (the adjugate stands
+    in for the inverse, since scale does not move points), and the induced
+    permutations are read from one nearest-point pass over all marked
+    points.  A candidate is kept if it permutes the full marked set with
+    matching exponents; the result is deduplicated by the induced
+    permutation (a Moebius map is determined by its action on three points)
+    and verified to form a group, the drift of inverses and pairwise
+    products checked in the same batched way.  Batched passes take _BLOCK
+    maps at a time, so temporaries stay O(_BLOCK * n * n).
+
+    Each kept map is moebius_from_triples(base, image triple) for the first
+    triple, in itertools.permutations order, that induces its permutation;
+    the maps come sorted by permutation.
     """
     n = len(div.points)
     if n < 3:
         raise ScopeError("symmetry enumeration needs at least 3 marked points")
     positions = np.array([p.position for p in div.points])
     betas = np.array([p.beta for p in div.points])
+    chart = stereographic_chart(_pick_pole(positions))
+    z, w = _project_hom(chart, positions)
+
+    # beta-compatible ordered triples in lexicographic (itertools.permutations)
+    # order, without the triples moebius_from_triples rejects: those with two
+    # coincident points, and all of them if the base triple has two
+    same = [np.flatnonzero(np.abs(betas - b) <= _BETA_TOL) for b in betas[:3]]
+    triples = np.stack(np.meshgrid(*same, indexing="ij"), axis=-1).reshape(-1, 3)
+    apart = np.linalg.norm(positions[:, None] - positions, axis=2) >= _COINCIDENT
+    base_apart = apart[0, 1] & apart[0, 2] & apart[1, 2]
+    t0, t1, t2 = triples.T
+    triples = triples[base_apart & apart[t0, t1] & apart[t0, t2] & apart[t1, t2]]
+    mats = _adjugate(_normalizer(z[triples], w[triples])) @ _normalizer(z[:3], w[:3])
+    perms, ok = _induced_permutations(mats, chart, positions, betas, tol)
 
     base = positions[:3]
     found = {}
-    for triple in itertools.permutations(range(n), 3):
-        if np.any(np.abs(betas[list(triple)] - betas[:3]) > _BETA_TOL):
-            continue
-        try:
-            phi = moebius_from_triples(base, positions[list(triple)])
-        except DomainError:
-            continue
-        perm = _induced_permutation(phi, positions, betas, tol)
-        if perm is not None and perm not in found:
-            found[perm] = phi
+    for k in np.flatnonzero(ok):
+        perm = tuple(perms[k].tolist())
+        if perm not in found:
+            try:
+                found[perm] = moebius_from_triples(base, positions[triples[k]])
+            except DomainError:
+                continue
 
     identity = tuple(range(n))
     if identity not in found:
         raise ClosureViolation("enumerated symmetry set lacks the identity")
-    for perm, phi in found.items():
-        inv = tuple(int(np.argsort(perm)[i]) for i in range(n))
-        if inv not in found:
+    keys = list(found)
+    order = len(keys)
+    table = np.array(keys)
+    inverses = np.argsort(table, axis=1)
+    # products[a * order + b] = keys[a] o keys[b]
+    products = table[np.arange(order)[:, None, None], table[None, :, :]].reshape(-1, n)
+    common = np.array([phi.in_chart(chart.pole).matrix for phi in found.values()])
+    got, ok = _induced_permutations(_adjugate(common), chart, positions, betas, tol)
+    for perm, inv, drift in zip(keys, inverses.tolist(), ~ok | np.any(got != inverses, axis=1)):
+        if tuple(inv) not in found:
             raise ClosureViolation(f"inverse of permutation {perm} not enumerated")
-        if _induced_permutation(phi.inverse(), positions, betas, tol) != inv:
+        if drift:
             raise ClosureViolation(f"inverse map of {perm} drifts beyond tolerance")
-    for pa, phia in found.items():
-        for pb, phib in found.items():
-            comp = tuple(pa[i] for i in pb)
-            if comp not in found:
-                raise ClosureViolation(f"composition {pa} o {pb} not enumerated")
-            if _induced_permutation(phia.compose(phib), positions, betas, tol) != comp:
-                raise ClosureViolation(f"composition {pa} o {pb} drifts beyond tolerance")
+    pairs = (common[:, None] @ common[None, :]).reshape(-1, 2, 2)
+    got, ok = _induced_permutations(pairs, chart, positions, betas, tol)
+    drifts = ~ok | np.any(got != products, axis=1)
+    for k, (comp, drift) in enumerate(zip(products.tolist(), drifts)):
+        missing = tuple(comp) not in found
+        if missing or drift:
+            what = "not enumerated" if missing else "drifts beyond tolerance"
+            raise ClosureViolation(f"composition {keys[k // order]} o {keys[k % order]} {what}")
 
     return [found[perm] for perm in sorted(found)]

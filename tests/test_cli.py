@@ -173,6 +173,32 @@ def test_solve_reports_are_deterministic(tmp_path):
     assert (a_dir / "u.csv").read_text() == (b_dir / "u.csv").read_text()
 
 
+@pytest.mark.parametrize("grading", [0, 3])
+def test_solve_reports_cone_rings(tmp_path, grading):
+    # base 4: at grading 0 every cone's 1-ring reaches past the inner
+    # harmonic zone, at grading 3 every 1-ring lies inside it
+    cfg = flagship_config(mesh={"base_level": 4, "grading_levels": grading},
+                          outputs={"fields": False})
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    rep = read_report(tmp_path, "solve.json")["report"]
+    cones = rep["cones"]
+    assert len(cones) == 3
+    for cone in cones:
+        assert 0.0 < cone["harmonic_radius"] < 0.05
+        assert cone["ring_in_harmonic_zone"] == (cone["ring_radius"] < cone["harmonic_radius"])
+        assert math.isfinite(cone["u"])
+    assert len({cone["vertex"] for cone in cones}) == 3
+    inside = [cone["ring_in_harmonic_zone"] for cone in cones]
+    if grading == 0:
+        assert inside == [False, False, False]
+        [warning] = rep["warnings"]
+        assert "[0, 1, 2]" in warning and "grading_levels" in warning
+    else:
+        assert inside == [True, True, True]
+        assert "warnings" not in rep
+
+
 def test_solve_huge_max_step_halvings(tmp_path):
     # the smallest step used to be dt / 2**max_step_halvings: OverflowError
     cfg = flagship_config(mesh={"base_level": 2}, solver={"max_step_halvings": 2000},

@@ -1,13 +1,18 @@
 """Moebius maps, conformal distortion, and symmetry enumeration."""
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conesphere.divisor import divisor, equatorial_divisor, flagship_divisor
-from conesphere.errors import DomainError, ScopeError
+from conesphere.diagnostics import triangle_double_divisor
+from conesphere.divisor import ConePoint, Divisor, divisor, equatorial_divisor, flagship_divisor
+from conesphere.errors import ClosureViolation, DomainError, ScopeError
 from conesphere.moebius import (
+    _BETA_TOL,
     _project_hom,
     _unproject_hom,
     conformal_distortion,
@@ -154,3 +159,183 @@ def test_enumeration_ordering_independence(equilateral_div):
 def test_enumeration_scope():
     with pytest.raises(ScopeError):
         enumerate_conformal_symmetries(equatorial_divisor([-0.5, -0.5]))
+
+
+# ---------------------------------------------------------------------------
+# Round trips over random triples
+
+
+def _spread(points):
+    """True if the points are pairwise at chordal distance >= 0.1."""
+    return all(np.linalg.norm(p - q) >= 0.1 for p, q in itertools.combinations(points, 2))
+
+
+UNIT = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+TRIPLE = st.lists(UNIT, min_size=3, max_size=3).filter(_spread).map(np.array)
+ROUND_TRIP = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@ROUND_TRIP
+@given(src=TRIPLE, dst=TRIPLE)
+def test_from_triples_round_trip(src, dst):
+    phi = moebius_from_triples(src, dst)
+    assert np.max(np.linalg.norm(phi.apply(src) - dst, axis=1)) < 1e-8
+
+
+@ROUND_TRIP
+@given(src=TRIPLE, dst=TRIPLE)
+def test_compose_with_inverse_round_trip(src, dst):
+    phi = moebius_from_triples(src, dst)
+    pts = sample_points(30, seed=13)
+    comp = phi.compose(phi.inverse())
+    assert np.max(np.linalg.norm(comp.apply(pts) - pts, axis=1)) < 1e-8
+
+
+@ROUND_TRIP
+@given(src=TRIPLE, dst=TRIPLE, q=UNIT)
+def test_in_chart_round_trip(src, dst, q):
+    phi = moebius_from_triples(src, dst)
+    pts = sample_points(30, seed=13)
+    moved = phi.in_chart(q)
+    assert np.max(np.linalg.norm(moved.apply(pts) - phi.apply(pts), axis=1)) < 1e-8
+
+
+@ROUND_TRIP
+@given(src=TRIPLE, mid=TRIPLE, dst=TRIPLE)
+def test_distortion_cocycle_round_trip(src, mid, dst):
+    f = moebius_from_triples(src, mid)
+    g = moebius_from_triples(mid, dst)
+    pts = sample_points(40, seed=17)
+    lhs = conformal_distortion(g.compose(f), pts)
+    rhs = conformal_distortion(g, f.apply(pts)) * conformal_distortion(f, pts)
+    assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The batched enumeration against the brute-force loop
+
+
+def _reference_permutation(phi, positions, betas, tol):
+    """Permutation induced by one map, or None (point by point)."""
+    images = phi.apply(positions)
+    n = len(positions)
+    perm = np.full(n, -1, dtype=int)
+    for i in range(n):
+        d = np.linalg.norm(positions - images[i], axis=1)
+        j = int(np.argmin(d))
+        if d[j] > tol or abs(betas[i] - betas[j]) > _BETA_TOL:
+            return None
+        perm[i] = j
+    if len(set(perm.tolist())) != n:
+        return None
+    return tuple(perm.tolist())
+
+
+def _reference_symmetries(div, tol=1e-9):
+    """The enumeration one candidate triple at a time: one
+    moebius_from_triples and one point-by-point permutation per triple, and
+    the group checks one map at a time."""
+    n = len(div.points)
+    positions = div.positions
+    betas = div.betas
+    base = positions[:3]
+    found = {}
+    for triple in itertools.permutations(range(n), 3):
+        if np.any(np.abs(betas[list(triple)] - betas[:3]) > _BETA_TOL):
+            continue
+        try:
+            phi = moebius_from_triples(base, positions[list(triple)])
+        except DomainError:
+            continue
+        perm = _reference_permutation(phi, positions, betas, tol)
+        if perm is not None and perm not in found:
+            found[perm] = phi
+
+    identity = tuple(range(n))
+    if identity not in found:
+        raise ClosureViolation("enumerated symmetry set lacks the identity")
+    for perm, phi in found.items():
+        inv = tuple(int(np.argsort(perm)[i]) for i in range(n))
+        if inv not in found:
+            raise ClosureViolation(f"inverse of permutation {perm} not enumerated")
+        if _reference_permutation(phi.inverse(), positions, betas, tol) != inv:
+            raise ClosureViolation(f"inverse map of {perm} drifts beyond tolerance")
+    for pa, phia in found.items():
+        for pb, phib in found.items():
+            comp = tuple(pa[i] for i in pb)
+            if comp not in found:
+                raise ClosureViolation(f"composition {pa} o {pb} not enumerated")
+            if _reference_permutation(phia.compose(phib), positions, betas, tol) != comp:
+                raise ClosureViolation(f"composition {pa} o {pb} drifts beyond tolerance")
+    return [found[perm] for perm in sorted(found)]
+
+
+def _outcome(enumerate_fn, div, tol):
+    """(matrix, pole) bytes of every map, or the ClosureViolation message."""
+    try:
+        maps = enumerate_fn(div, tol=tol)
+    except ClosureViolation as exc:
+        return str(exc)
+    return [(m.matrix.tobytes(), np.asarray(m.pole).tobytes()) for m in maps]
+
+
+def _equatorial(azimuths, betas):
+    return divisor([[math.cos(a), math.sin(a), 0.0] for a in azimuths], betas)
+
+
+def _ulp_pair():
+    """Four random points and a fifth one ulp away from the fourth."""
+    p = sample_points(4, seed=3)
+    return divisor(np.vstack([p, p[3] + np.array([1.0, -1.0, 1.0]) * np.spacing(p[3])]), [-0.3] * 5)
+
+
+_EQUILATERAL = equatorial_divisor([-0.3] * 3)
+ENUMERATION_CASES = {
+    # name: (divisor, tol, group order or the ClosureViolation message)
+    "flagship": (flagship_divisor(), 1e-9, 1),
+    "equilateral": (_EQUILATERAL, 1e-9, 6),
+    "equilateral-relabeled": (divisor(_EQUILATERAL.positions[[2, 0, 1]], [-0.3] * 3), 1e-9, 6),
+    "square": (equatorial_divisor([-0.5] * 4), 1e-9, 8),
+    "hexagon": (equatorial_divisor([-0.3] * 6), 1e-9, 12),
+    "alternating": (equatorial_divisor([-0.5, -0.3, -0.5, -0.3]), 1e-9, 4),
+    "triangle-double": (triangle_double_divisor(2.0, 2.0, 2.0), 1e-9, 6),
+    # at this tolerance some candidates send two points near one marked
+    # point: only the bijection test keeps them out
+    "square-loose": (equatorial_divisor([-0.5] * 4), 1.0, 8),
+    # a near-pentagon: single candidates pass at this tolerance, but their
+    # products drift past it
+    "pentagon-loose": (
+        _equatorial([0.0, 1.25, 2.51, 3.75, 5.0], [-0.3] * 5), 0.1,
+        "composition (2, 1, 0, 4, 3) o (4, 0, 1, 2, 3) drifts beyond tolerance",
+    ),
+    # triples holding the near pair are skipped, as moebius_from_triples
+    # rejects them; they must not reach the batched screen
+    "ulp-pair": (_ulp_pair(), 1e-9, "enumerated symmetry set lacks the identity"),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATION_CASES)
+def test_enumeration_matches_brute_force(name):
+    div, tol, expected = ENUMERATION_CASES[name]
+    got = _outcome(enumerate_conformal_symmetries, div, tol)
+    assert got == _outcome(_reference_symmetries, div, tol)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert len(got) == expected
+
+
+def test_enumeration_matches_recorded_icosahedral_group():
+    """Order 60: twelve equal cones at the vertices of a rotated icosahedron,
+    against the maps the brute-force enumeration recorded."""
+    with np.load(Path(__file__).parent / "data" / "icosahedral_order60.npz") as ref:
+        div = Divisor(tuple(ConePoint(p, float(b)) for p, b in zip(ref["positions"], ref["betas"])))
+        maps = enumerate_conformal_symmetries(div)
+        assert len(maps) == 60
+        assert np.array([m.matrix for m in maps]).tobytes() == ref["matrices"].tobytes()
+        assert np.array([m.pole for m in maps]).tobytes() == ref["poles"].tobytes()
