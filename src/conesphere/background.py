@@ -173,14 +173,11 @@ class ConicalBackground:
     mesh: SphereMesh
     rho: np.ndarray
     log_rho: np.ndarray  # -inf at cone vertices
-    log_rho_laplacian: np.ndarray
     m_field: np.ndarray  # 1 - beta * Lap log rho (smooth everywhere)
     k_beta: np.ndarray
     rho_pow_2beta: np.ndarray  # quadrature weight, 0 at cone vertices by convention
     rho_pow_neg2beta: np.ndarray  # coefficient of the conical Laplacian, 0 at cones
     cone_radii: np.ndarray
-    cutoff_radius: float
-    beta_eff: np.ndarray  # exponent of the owning cone at each node, 0 outside
     profiles: tuple = field(repr=False, default=())
 
     @property
@@ -255,14 +252,11 @@ def build_background(div: Divisor, mesh: SphereMesh, cutoff_radius: float = 1.2)
         mesh=mesh,
         rho=rho,
         log_rho=log_rho,
-        log_rho_laplacian=lap,
         m_field=m_field,
         k_beta=k_beta,
         rho_pow_2beta=rho_pos,
         rho_pow_neg2beta=rho_neg,
         cone_radii=np.asarray(radii, dtype=float),
-        cutoff_radius=float(cutoff_radius),
-        beta_eff=beta_eff,
         profiles=profiles,
     )
 

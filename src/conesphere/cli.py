@@ -39,7 +39,7 @@ from .divisor import (
     troyanov_check,
     weight_admissible,
 )
-from .errors import ConesphereError, ConfigError, NonPositiveTarget
+from .errors import ConesphereError, ConfigError
 from .mesh import build_mesh, write_csv, write_off
 from .moebius import enumerate_conformal_symmetries
 from .solver import SolverConfig, continuation_solve, pinned_test_factor
@@ -57,13 +57,26 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _object(raw, allowed, context):
+    """raw, checked to be a JSON object with no keys outside `allowed`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{context} has unknown keys {sorted(unknown)}")
+    return raw
+
+
 def _as_float(value, context):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ConfigError(f"{context} is too large for a float") from None
+    if not math.isfinite(value):  # json.load accepts the bare NaN and Infinity
+        raise ConfigError(f"{context} must be finite, got {value}")
+    return value
 
 
 def _as_int(value, context):
@@ -99,6 +112,7 @@ def _parse_divisor(cfg) -> Divisor:
     betas = []
     for i, entry in enumerate(entries):
         ctx = f"divisor[{i}]"
+        _object(entry, ("position", "beta"), ctx)
         positions.append(_parse_position(_require(entry, "position", ctx), f"{ctx}.position"))
         betas.append(_as_float(_require(entry, "beta", ctx), f"{ctx}.beta"))
     try:
@@ -110,12 +124,7 @@ def _parse_divisor(cfg) -> Divisor:
 def _parse_numbers(cfg, section, defaults):
     """The given keys of the object cfg[section], each parsed as an integer
     or a number after the type of its default."""
-    raw = cfg.get(section, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config.{section} must be an object")
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise ConfigError(f"config.{section} has unknown keys {sorted(unknown)}")
+    raw = _object(cfg.get(section, {}), defaults, f"config.{section}")
     parse = {int: _as_int, float: _as_float}
     return {
         key: parse[type(default)](raw[key], f"config.{section}.{key}")
@@ -130,7 +139,11 @@ _MESH_DEFAULTS = {
 
 
 def _parse_mesh(cfg):
-    return {**_MESH_DEFAULTS, **_parse_numbers(cfg, "mesh", _MESH_DEFAULTS)}
+    mesh = {**_MESH_DEFAULTS, **_parse_numbers(cfg, "mesh", _MESH_DEFAULTS)}
+    bad = sorted(k for k, v in mesh.items() if v < 0 or (v == 0 and k.endswith("radius")))
+    if bad:
+        raise ConfigError(f"config.mesh {bad}: levels must be nonnegative, radii positive")
+    return mesh
 
 
 def _parse_solver(cfg) -> SolverConfig:
@@ -146,9 +159,11 @@ def _parse_weights(cfg, div: Divisor):
     raw = cfg.get("weights")
     if raw is None:
         return None
+    raw = _object(raw, ("gamma", "alpha", "k"), "config.weights")
     gamma = _require(raw, "gamma", "config.weights")
-    if not isinstance(gamma, list):
-        raise ConfigError("config.weights.gamma must be a list")
+    if not isinstance(gamma, list) or len(gamma) != len(div):
+        raise ConfigError(f"config.weights.gamma must be a list of {len(div)} numbers, "
+                          "one per cone point")
     alpha = _as_float(raw.get("alpha", 0.5), "config.weights.alpha")
     order = _as_int(raw.get("k", 0), "config.weights.k")
     try:
@@ -161,9 +176,16 @@ def _parse_weights(cfg, div: Divisor):
         raise ConfigError(f"invalid weights: {exc}") from exc
 
 
+_TARGET_KEYS = {"constant": ("value",), "expression": tuple("abcd"), "grid": ("path",),
+                "manufactured": ("north", "south")}
+
+
 def _parse_target(cfg):
     raw = cfg.get("target", {"type": "constant", "value": 1.0})
     kind = _require(raw, "type", "config.target")
+    if not isinstance(kind, str) or kind not in _TARGET_KEYS:
+        raise ConfigError(f"unknown target type {kind!r}")
+    _object(raw, ("type", *_TARGET_KEYS[kind]), "config.target")
     if kind == "constant":
         value = _as_float(_require(raw, "value", "config.target"), "config.target.value")
         if value <= 0.0:
@@ -174,22 +196,15 @@ def _parse_target(cfg):
         return {"type": "expression", **coeffs}
     if kind == "grid":
         return {"type": "grid", "path": str(_require(raw, "path", "config.target"))}
-    if kind == "manufactured":
-        return {
-            "type": "manufactured",
-            "north": _as_float(raw.get("north", 1.0), "config.target.north"),
-            "south": _as_float(raw.get("south", 0.0), "config.target.south"),
-        }
-    raise ConfigError(f"unknown target type '{kind}'")
+    return {
+        "type": "manufactured",
+        "north": _as_float(raw.get("north", 1.0), "config.target.north"),
+        "south": _as_float(raw.get("south", 0.0), "config.target.south"),
+    }
 
 
 def _parse_outputs(cfg):
-    raw = cfg.get("outputs", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("config.outputs must be an object")
-    unknown = set(raw) - {"fields", "mesh_off"}
-    if unknown:
-        raise ConfigError(f"config.outputs has unknown keys {sorted(unknown)}")
+    raw = _object(cfg.get("outputs", {}), ("fields", "mesh_off"), "config.outputs")
     return {"fields": bool(raw.get("fields", True)), "mesh_off": bool(raw.get("mesh_off", False))}
 
 
@@ -204,11 +219,7 @@ class Job:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must contain a JSON object")
-        unknown = set(cfg) - {"divisor", "target", "mesh", "weights", "solver", "outputs"}
-        if unknown:
-            raise ConfigError(f"config has unknown top-level keys {sorted(unknown)}")
+        _object(cfg, ("divisor", "target", "mesh", "weights", "solver", "outputs"), "config")
         self.divisor = _parse_divisor(cfg)
         self.mesh_params = _parse_mesh(cfg)
         self.solver_config = _parse_solver(cfg)
@@ -247,28 +258,17 @@ class Job:
         return mesh, bg
 
     def resolve_target(self, bg):
-        """Nodewise target curvature; returns (K, manufactured_u or None)."""
+        """Nodewise target curvature; returns (K, manufactured_u or None).
+        Its positivity is checked by the solver."""
         mesh = bg.mesh
         spec = self.target
-        free = np.ones(mesh.n_vertices, dtype=bool)
-        free[mesh.cone_vertices] = False
         if spec["type"] == "constant":
             return np.full(mesh.n_vertices, spec["value"]), None
         if spec["type"] == "expression":
             x, y, z = mesh.vertices.T
-            K = spec["a"] + spec["b"] * x + spec["c"] * y + spec["d"] * z
-            if np.any(K[free] <= 0.0):
-                raise NonPositiveTarget(
-                    "expression target is non-positive at "
-                    f"{int(np.sum(K[free] <= 0.0))} mesh nodes "
-                    f"(minimum {float(np.min(K[free])):.6g})"
-                )
-            return K, None
+            return spec["a"] + spec["b"] * x + spec["c"] * y + spec["d"] * z, None
         if spec["type"] == "grid":
-            K = _read_grid(spec["path"], mesh)
-            if np.any(K[free] <= 0.0):
-                raise NonPositiveTarget("grid target is non-positive at mesh nodes")
-            return K, None
+            return _read_grid(spec["path"], mesh), None
         v = pinned_test_factor(bg, north=spec["north"], south=spec["south"])
         return curvature_map(bg, v), v
 

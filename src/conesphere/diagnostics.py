@@ -19,10 +19,10 @@ import scipy.sparse.linalg as spla
 
 from .background import ConicalBackground, curvature_map
 from .divisor import ConePoint, Divisor
-from .errors import DomainError, GeometryError, ScopeError, ShapeError, SpectralError
+from .errors import DomainError, GeometryError, ShapeError, SingularLinearization, SpectralError
 from .mesh import SphereMesh
 from .moebius import stereographic_chart
-from .solver import linearize
+from .solver import _factor, linearize
 
 _EIG_SEED = 20260826
 
@@ -89,12 +89,9 @@ def kernel_gap(bg: ConicalBackground, u: np.ndarray, tol: float = 1e-10,
     """
     A = linearize(bg, u).matrix.tocsc()
     try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        # an exactly singular factorization is an exactly zero gap
-        if "singular" in str(exc).lower():
-            return 0.0
-        raise SpectralError(f"factorization failed: {exc}") from exc
+        lu = _factor(A)
+    except SingularLinearization:
+        return 0.0  # an exactly singular factorization is an exactly zero gap
     rng = np.random.default_rng(_EIG_SEED)
     x = rng.standard_normal(A.shape[0])
     x /= np.linalg.norm(x)

@@ -43,7 +43,7 @@ class ConePoint:
         pos = np.asarray(self.position, dtype=float)
         if pos.shape != (3,):
             raise ShapeError(f"cone point position must be a 3-vector, got shape {pos.shape}")
-        if abs(np.linalg.norm(pos) - 1.0) > _UNIT_TOL:
+        if not abs(np.linalg.norm(pos) - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise DomainError(f"cone point position must be unit length, |p| = {np.linalg.norm(pos)!r}")
         if not (-1.0 < self.beta <= 0.0):
             raise DomainError(f"cone exponent must lie in (-1, 0], got {self.beta}")

@@ -372,10 +372,6 @@ class SphereMesh:
     areas: np.ndarray
     stiffness: sp.csr_matrix
     cone_vertices: np.ndarray  # index of the mesh node carrying each cone point
-    base_level: int
-    grading: int
-    grading_radius: float
-    h_base: float
     _adjacency: list = field(default=None, repr=False)
     _lap_edges: tuple = field(default=None, repr=False)
 
@@ -472,10 +468,6 @@ def build_mesh(
         areas=lumped_node_areas(verts, faces),
         stiffness=cotan_stiffness(verts, faces),
         cone_vertices=np.array(cone_ids, dtype=np.int64),
-        base_level=base_level,
-        grading=grading,
-        grading_radius=grading_radius,
-        h_base=h_base,
     )
 
 

@@ -48,14 +48,15 @@ from .errors import (
     SingularLinearization,
 )
 
+# line-search halvings of the Newton step before the iteration is given up
+_LINE_SEARCH_HALVINGS = 8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton_iters: int = 25
-    continuation_steps: int = 1  # the largest continuation step is 1 / this
     max_step_halvings: int = 10
-    damping: int = 8
     linear_tol: float = 1e-12
 
     def __post_init__(self):
@@ -167,33 +168,50 @@ def _jacobian(bg: ConicalBackground, u, lap_u):
     return _derivative(bg, -2.0 * e * (bg.m_field - lap_u), e).tocsc()
 
 
+def _check_target(bg: ConicalBackground, K_target) -> np.ndarray:
+    """K_target as one float per node, positive (so not NaN) at every
+    non-cone node; the data term at a cone node comes from its 1-ring."""
+    K = bg._check(np.asarray(K_target, dtype=float), "K_target")
+    K_free = K[_free_nodes(bg)]
+    bad = ~(K_free > 0.0)
+    if np.any(bad):
+        raise NonPositiveTarget(
+            f"target curvature is not positive at {int(np.sum(bad))} non-cone nodes "
+            f"(minimum {float(np.min(K_free)):.6g})"
+        )
+    return K
+
+
+def _factor(A: sp.csc_matrix):
+    """SuperLU factorization of A; SingularLinearization if SuperLU fails.
+    splu is looked up on scipy's module, so a wrapper installed there sees it."""
+    try:
+        return spla.splu(A)
+    except RuntimeError as exc:
+        raise SingularLinearization(f"sparse factorization failed: {exc}") from exc
+
+
 def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = SolverConfig()):
     """Damped Newton for the weighted curvature equation; returns (u, report)."""
-    K = bg._check(np.asarray(K_target, dtype=float), "K_target")
+    K = _check_target(bg, K_target)
     u = bg._check(np.asarray(u0, dtype=float), "u0").copy()
-    free = _free_nodes(bg)
-    if np.any(K[free] <= 0.0):
-        raise NonPositiveTarget("target curvature must be positive at non-cone nodes")
     G = _product_field(bg, K)
 
     F, lap_u = _residual(bg, u, G)
     res = float(np.max(np.abs(F)))
     iters = 0
-    while res > cfg.newton_tol:
+    while not res <= cfg.newton_tol:  # a NaN residual never converges
         if iters >= cfg.max_newton_iters:
             raise NewtonDivergence(
                 f"no convergence in {cfg.max_newton_iters} iterations (residual {res:.3e})"
             )
         J = _jacobian(bg, u, lap_u)
-        try:
-            lu = spla.splu(J)
-            d = lu.solve(-F)
-            # one step of iterative refinement: the row scaling e^{-2u}/area
-            # spans many orders of magnitude on graded meshes and a raw
-            # factorization solve leaves the sup-residual floor too high
-            d -= lu.solve(J @ d + F)
-        except RuntimeError as exc:
-            raise SingularLinearization(f"sparse factorization failed: {exc}") from exc
+        lu = _factor(J)
+        d = lu.solve(-F)
+        # one step of iterative refinement: the row scaling e^{-2u}/area
+        # spans many orders of magnitude on graded meshes and a raw
+        # factorization solve leaves the sup-residual floor too high
+        d -= lu.solve(J @ d + F)
         del lu  # else it stays alive while the next iteration factorizes
         lin_res = float(np.max(np.abs(J @ d + F)))
         if not np.all(np.isfinite(d)) or lin_res > cfg.linear_tol * max(1.0, res) * 1e3:
@@ -202,7 +220,7 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
             )
         step = 1.0
         accepted = False
-        for _ in range(cfg.damping + 1):
+        for _ in range(_LINE_SEARCH_HALVINGS + 1):
             trial = u + step * d
             F_t, lap_t = _residual(bg, trial, G)
             res_t = float(np.max(np.abs(F_t)))
@@ -227,32 +245,28 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
     """March from the known root (u, K) = (0, K_beta) to K_target along the
     log-linear curvature path, warm-starting Newton at each step.
 
-    Step rule: the first step is the largest, 1 / cfg.continuation_steps.  A
-    step whose Newton solve fails (NewtonDivergence or SingularLinearization)
-    is halved and retried, and the halved step is kept for the rest of the
-    path.  ContinuationStall is raised once the step would fall below the
-    largest / 2**cfg.max_step_halvings, or would no longer move t."""
+    Step rule: the first step is the whole path, t = 0 to 1.  A step whose
+    Newton solve fails (NewtonDivergence or SingularLinearization) is halved
+    and retried, and the halved step is kept for the rest of the path.
+    ContinuationStall is raised once the step would fall below
+    2**-cfg.max_step_halvings, or would no longer move t."""
+    K = _check_target(bg, K_target)
     scope = solver_scope_check(bg.divisor)
     if not scope.passed:
         raise ScopeError(f"divisor outside solver scope: {scope.as_dict()}")
-    K = bg._check(np.asarray(K_target, dtype=float), "K_target")
     free = _free_nodes(bg)
-    if np.any(K[free] <= 0.0):
-        raise NonPositiveTarget("target curvature must be positive at non-cone nodes")
 
-    log_k0 = np.zeros(bg.n_vertices)
-    log_k1 = np.zeros(bg.n_vertices)
-    log_k0[free] = np.log(bg.k_beta[free])
-    log_k1[free] = np.log(K[free])
+    log_k0 = np.log(bg.k_beta[free])
+    log_k1 = np.log(K[free])
 
     def K_at(t):
         Kt = np.zeros(bg.n_vertices)
-        Kt[free] = np.exp((1.0 - t) * log_k0[free] + t * log_k1[free])
+        Kt[free] = np.exp((1.0 - t) * log_k0 + t * log_k1)
         return Kt
 
     u = np.zeros(bg.n_vertices)
     t = 0.0
-    dt = 1.0 / cfg.continuation_steps
+    dt = 1.0
     smallest = math.ldexp(dt, -cfg.max_step_halvings)  # 2**n overflows for a huge n
     path = []
     warnings = []

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conesphere.cli import main
 from conesphere.mesh import build_mesh, write_csv
-from conesphere.divisor import flagship_divisor
+from conesphere.divisor import WeightSpec, flagship_divisor, weight_admissible
 from conesphere.solver import SolverConfig
 
 
@@ -84,6 +84,13 @@ def test_unknown_keys_exit_2(tmp_path):
     assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
     path = write_config(tmp_path, flagship_config(mesh={"base_level": 4, "oops": 1}))
     assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
+    cfg = flagship_config()
+    cfg["divisor"][0]["oops"] = 1
+    assert main(["check", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    # the two settings that were removed are unknown keys now
+    for solver in ({"damping": 8}, {"continuation_steps": 1}):
+        path = write_config(tmp_path, flagship_config(solver=solver))
+        assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
 
 
 def test_bad_position_exits_2(tmp_path):
@@ -100,8 +107,27 @@ def test_non_finite_solver_setting_exits_2(tmp_path):
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+BAD_SETTINGS = {
+    "divisor lat": lambda cfg: cfg["divisor"][0].update(position={"lat": math.nan, "lon": 0.0}),
+    "mesh radius": lambda cfg: cfg["mesh"].update(grading_radius=math.nan),
+    "mesh level": lambda cfg: cfg["mesh"].update(base_level=-1),
+    "constant target": lambda cfg: cfg.update(target={"type": "constant", "value": math.nan}),
+    "expression target": lambda cfg: cfg["target"].update(b=math.nan),
+    "weights": lambda cfg: cfg.update(weights={"gamma": [math.nan, 0.5, 0.5]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SETTINGS))
+def test_nan_or_out_of_range_setting_exits_2(tmp_path, name):
+    # json.load accepts a bare NaN; each of these used to pass check or end
+    # in a traceback
+    cfg = flagship_config()
+    BAD_SETTINGS[name](cfg)
+    assert main(["check", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+
+
 def _tagged(valid, invalid):
-    """Values paired with whether the solver section accepts them."""
+    """Values paired with whether their section accepts them."""
     return st.one_of(valid.map(lambda v: (v, True)), invalid.map(lambda v: (v, False)))
 
 
@@ -134,6 +160,69 @@ def test_check_fuzzed_solver_section(tmp_path_factory, section):
     cfg = flagship_config(solver={key: value for key, (value, _) in section.items()})
     valid = all(ok for _, ok in section.values())
     assert main(["check", "--config", write_config(tmp, cfg), "--out", str(tmp)]) == (0 if valid else 2)
+
+
+NON_NUMBERS = st.one_of(st.text(max_size=4), st.booleans(), st.none(), st.just([1.0]))
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(min_value=-2**64, max_value=2**64))
+NOT_FINITE_NUMBER = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(min_value=10**309), NON_NUMBERS)
+NUMBER = _tagged(FINITE, NOT_FINITE_NUMBER)
+POSITIVE = _tagged(st.one_of(st.floats(min_value=5e-324, allow_infinity=False), POSITIVE_INTS),
+                   NOT_POSITIVE_FINITE)
+LEVEL = _tagged(st.integers(min_value=0, max_value=2**64),
+                st.one_of(st.integers(max_value=-1), st.floats(), NON_NUMBERS))
+
+
+def _section(required, optional=()):
+    """An object drawn key by key from tagged values, paired with whether
+    every value is valid; an unknown key makes it invalid."""
+    return st.fixed_dictionaries(
+        required, optional={**dict(optional), "oops": st.just((1, False))}
+    ).map(lambda d: ({k: v for k, (v, _) in d.items()}, all(ok for _, ok in d.values())))
+
+
+def _kind(name):
+    return st.just((name, True))
+
+
+MESH_SECTION = _section({}, {"base_level": LEVEL, "grading_levels": LEVEL,
+                             "grading_radius": POSITIVE, "cutoff_radius": POSITIVE})
+TARGET_SECTION = st.one_of(
+    _section({"type": _kind("constant"), "value": POSITIVE}),
+    _section({"type": _kind("expression")}, {key: NUMBER for key in "abcd"}),
+    _section({"type": _kind("manufactured")}, {"north": NUMBER, "south": NUMBER}),
+    _section({"type": _kind("grid"), "path": _tagged(st.text(max_size=8), st.nothing())}),
+    _section({"type": _tagged(st.nothing(), st.sampled_from(["torus", 1, None, ["grid"]]))}),
+)
+GAMMA = _tagged(
+    # admissible weights need all three positive, so draw from (0, 1) too
+    st.lists(st.one_of(st.floats(min_value=0.01, max_value=0.99), FINITE), min_size=3, max_size=3),
+    st.one_of(
+        st.lists(FINITE, max_size=5).filter(lambda g: len(g) != 3),  # one per cone point
+        st.tuples(FINITE, FINITE, NOT_FINITE_NUMBER).map(list),
+        NON_NUMBERS,
+    ),
+)
+WEIGHTS_SECTION = _section({"gamma": GAMMA}, {
+    "alpha": _tagged(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+                     st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), NON_NUMBERS)),
+    "k": LEVEL,
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mesh=MESH_SECTION, target=TARGET_SECTION, weights=WEIGHTS_SECTION)
+def test_check_fuzzed_mesh_target_weights(tmp_path_factory, mesh, target, weights):
+    # check builds no mesh, so huge levels allocate nothing
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = flagship_config(mesh=mesh[0], target=target[0], weights=weights[0])
+    code = main(["check", "--config", write_config(tmp, cfg), "--out", str(tmp)])
+    if not (mesh[1] and target[1] and weights[1]):
+        assert code == 2
+    else:
+        spec = WeightSpec(gamma=weights[0]["gamma"])
+        assert code == (0 if weight_admissible(spec, flagship_divisor()) else 1)
 
 
 def test_lat_lon_positions(tmp_path):

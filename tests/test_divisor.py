@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conesphere.divisor import (
+    ConePoint,
     Divisor,
     WeightSpec,
     cone_angle,
@@ -41,6 +42,12 @@ def test_divisor_positions_normalized():
 def test_divisor_rejects_zero_position():
     with pytest.raises(DomainError):
         divisor([[0.0, 0.0, 0.0]], [-0.5])
+
+
+def test_cone_point_rejects_nan_position():
+    # the unit-length test used to pass NaN
+    with pytest.raises(DomainError):
+        ConePoint(np.array([math.nan, 0.0, 0.0]), -0.5)
 
 
 def test_divisor_length_mismatch():

@@ -6,10 +6,19 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from conesphere import solver
 from conesphere.background import curvature_map, gauss_bonnet
-from conesphere.errors import ContinuationStall, DomainError, NonPositiveTarget, ScopeError
+from conesphere.diagnostics import kernel_gap
+from conesphere.errors import (
+    ConesphereError,
+    ContinuationStall,
+    DomainError,
+    NonPositiveTarget,
+    ScopeError,
+    SingularLinearization,
+)
 from conesphere.solver import (
     SolverConfig,
     _jacobian,
@@ -37,8 +46,8 @@ def test_solver_config_validation():
             with pytest.raises(DomainError):
                 SolverConfig(**{f.name: value})
     # every field may be as large as the largest float, and no larger
-    SolverConfig(linear_tol=sys.float_info.max, damping=int(sys.float_info.max))
-    for name in ("linear_tol", "damping"):
+    SolverConfig(linear_tol=sys.float_info.max, max_step_halvings=int(sys.float_info.max))
+    for name in ("linear_tol", "max_step_halvings"):
         with pytest.raises(DomainError):
             SolverConfig(**{name: 10**309})
 
@@ -78,6 +87,31 @@ def test_nonpositive_target_rejected(flagship_bg_small):
         newton_solve(bg, K, np.zeros(bg.n_vertices))
     with pytest.raises(NonPositiveTarget):
         continuation_solve(bg, K)
+
+
+def test_nan_never_passes(flagship_bg_small):
+    # NaN fails every comparison: a NaN residual used to count as converged
+    bg = flagship_bg_small
+    u0 = np.zeros(bg.n_vertices)
+    u0[bg.n_vertices // 2] = np.nan
+    with pytest.raises(ConesphereError):
+        newton_solve(bg, bg.k_beta, u0)
+    K = np.ones(bg.n_vertices)
+    K[solver._free_nodes(bg)[0]] = np.nan
+    with pytest.raises(NonPositiveTarget, match="1 non-cone nodes"):
+        continuation_solve(bg, K)
+
+
+def test_singular_factorization(flagship_bg_small, monkeypatch):
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    bg = flagship_bg_small
+    assert kernel_gap(bg, np.zeros(bg.n_vertices)) == 0.0
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    with pytest.raises(SingularLinearization, match="exactly singular"):
+        newton_solve(bg, K, np.zeros(bg.n_vertices))
 
 
 def test_continuation_out_of_scope(gallery):
