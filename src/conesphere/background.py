@@ -271,8 +271,9 @@ def curvature_map(bg: ConicalBackground, u: np.ndarray, cone_tol: float = 0.0) -
     """Gaussian curvature of e^{2u} rho^{2 beta} g_round; zero at cone vertices.
 
     cone_tol loosens the pinning check for solver output, whose cone-vertex
-    values float at the discretization scale; the returned curvature does not
-    depend on them (the conical weight vanishes there).
+    values float at the discretization scale.  The returned value at a cone
+    vertex does not depend on u there (the conical weight vanishes), but the
+    values on its 1-ring do, through the Laplacian.
     """
     u = bg._check_pinned(u, atol=cone_tol)
     return np.exp(-2.0 * u) * (bg.k_beta - delta_beta_apply(bg, u))
@@ -283,9 +284,6 @@ class GaussBonnetReport:
     integral: float
     target: float
     residual: float
-
-    def as_dict(self):
-        return {"integral": self.integral, "target": self.target, "residual": self.residual}
 
 
 def gauss_bonnet(bg: ConicalBackground, u: np.ndarray, cone_tol: float = 0.0) -> GaussBonnetReport:

@@ -49,24 +49,6 @@ from .solver import SolverConfig, continuation_solve, pinned_test_factor
 # Configuration parsing
 
 
-def _require(mapping, key, context):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context} must be a JSON object, got {type(mapping).__name__}")
-    if key not in mapping:
-        raise ConfigError(f"{context} is missing required key '{key}'")
-    return mapping[key]
-
-
-def _object(raw, allowed, context):
-    """raw, checked to be a JSON object with no keys outside `allowed`."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context} must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{context} has unknown keys {sorted(unknown)}")
-    return raw
-
-
 def _as_float(value, context):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
@@ -79,133 +61,103 @@ def _as_float(value, context):
     return value
 
 
-def _as_int(value, context):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context} must be an integer, got {value!r}")
-    return int(value)
+def _json_type(kind, name):
+    """A parser that accepts the values of one JSON type only (a bool is no int)."""
+
+    def parse(value, context):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{context} must be {name}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _parse_position(entry, context):
+_as_str = _json_type(str, "a string")
+
+
+def _as_floats(value, context):
+    if not isinstance(value, list):
+        raise ConfigError(f"{context} must be a list of numbers, got {value!r}")
+    return [_as_float(v, f"{context}[{i}]") for i, v in enumerate(value)]
+
+
+def _as_position(value, context):
     """A unit vector [x, y, z] or {"lat": deg, "lon": deg}."""
-    if isinstance(entry, dict):
-        lat = math.radians(_as_float(_require(entry, "lat", context), f"{context}.lat"))
-        lon = math.radians(_as_float(_require(entry, "lon", context), f"{context}.lon"))
+    if isinstance(value, dict):
+        deg = _section(value, {"lat": _as_float, "lon": _as_float}, context)
+        lat, lon = math.radians(deg["lat"]), math.radians(deg["lon"])
         return np.array(
             [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
         )
-    if isinstance(entry, (list, tuple)) and len(entry) == 3:
-        p = np.array([_as_float(c, f"{context} component") for c in entry])
-        nrm = float(np.linalg.norm(p))
-        if nrm < 1e-12:
-            raise ConfigError(f"{context} is the zero vector")
-        if abs(nrm - 1.0) > 1e-6:
-            raise ConfigError(f"{context} is not a unit vector (|p| = {nrm:.8f})")
-        return p / nrm
-    raise ConfigError(f"{context} must be [x, y, z] or {{lat, lon}} in degrees")
+    p = np.array(_as_floats(value, context))
+    if p.shape != (3,):
+        raise ConfigError(f"{context} must be [x, y, z] or {{lat, lon}} in degrees")
+    nrm = float(np.linalg.norm(p))
+    if nrm < 1e-12:
+        raise ConfigError(f"{context} is the zero vector")
+    if abs(nrm - 1.0) > 1e-6:
+        raise ConfigError(f"{context} is not a unit vector (|p| = {nrm:.8f})")
+    return p / nrm
 
 
-def _parse_divisor(cfg) -> Divisor:
-    entries = _require(cfg, "divisor", "config")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("config.divisor must be a non-empty list of cone points")
-    positions = []
-    betas = []
-    for i, entry in enumerate(entries):
-        ctx = f"divisor[{i}]"
-        _object(entry, ("position", "beta"), ctx)
-        positions.append(_parse_position(_require(entry, "position", ctx), f"{ctx}.position"))
-        betas.append(_as_float(_require(entry, "beta", ctx), f"{ctx}.beta"))
+def _build(make, what, **kwargs):
+    """make(**kwargs), with a library error reported as a configuration error."""
     try:
-        return divisor(positions, betas)
+        return make(**kwargs)
     except ConesphereError as exc:
-        raise ConfigError(f"invalid divisor: {exc}") from exc
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _parse_numbers(cfg, section, defaults):
-    """The given keys of the object cfg[section], each parsed as an integer
-    or a number after the type of its default."""
-    raw = _object(cfg.get(section, {}), defaults, f"config.{section}")
-    parse = {int: _as_int, float: _as_float}
-    return {
-        key: parse[type(default)](raw[key], f"config.{section}.{key}")
-        for key, default in defaults.items()
-        if key in raw
-    }
+def _as_divisor(value, context) -> Divisor:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{context} must be a non-empty list of cone points")
+    cones = [_section(entry, {"position": _as_position, "beta": _as_float}, f"{context}[{i}]")
+             for i, entry in enumerate(value)]
+    return _build(divisor, "divisor", positions=[c["position"] for c in cones],
+                  betas=[c["beta"] for c in cones])
 
 
-_MESH_DEFAULTS = {
-    "base_level": 4, "grading_levels": 0, "grading_radius": 0.3, "cutoff_radius": 1.2,
+# The parser of a key with a default, by the default's type.  A section
+# (an object, or the absent weights) is kept as it is and parsed by its own
+# schema later.
+_PARSERS = {
+    bool: _json_type(bool, "true or false"),
+    int: _json_type(int, "an integer"),
+    float: _as_float,
+    str: _as_str,
+    dict: lambda value, context: value,
+    type(None): lambda value, context: value,
 }
 
 
-def _parse_mesh(cfg):
-    mesh = {**_MESH_DEFAULTS, **_parse_numbers(cfg, "mesh", _MESH_DEFAULTS)}
-    bad = sorted(k for k, v in mesh.items() if v < 0 or (v == 0 and k.endswith("radius")))
-    if bad:
-        raise ConfigError(f"config.mesh {bad}: levels must be nonnegative, radii positive")
-    return mesh
+def _section(raw, schema, context) -> dict:
+    """The JSON object raw parsed against schema, defaults filled in.
+
+    A schema maps each key to its default, whose type picks the key's parser,
+    or, for a required key, to its parser."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ConfigError(f"{context} has unknown keys {sorted(unknown)}")
+    missing = [key for key, spec in schema.items() if callable(spec) and key not in raw]
+    if missing:
+        raise ConfigError(f"{context} is missing required keys {missing}")
+    out = {}
+    for key, spec in schema.items():
+        parse = spec if callable(spec) else _PARSERS[type(spec)]
+        out[key] = parse(raw[key], f"{context}.{key}") if key in raw else spec
+    return out
 
 
-def _parse_solver(cfg) -> SolverConfig:
-    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
-    kwargs = _parse_numbers(cfg, "solver", defaults)
-    try:
-        return SolverConfig(**kwargs)
-    except ConesphereError as exc:
-        raise ConfigError(f"invalid solver settings: {exc}") from exc
-
-
-def _parse_weights(cfg, div: Divisor):
-    raw = cfg.get("weights")
-    if raw is None:
-        return None
-    raw = _object(raw, ("gamma", "alpha", "k"), "config.weights")
-    gamma = _require(raw, "gamma", "config.weights")
-    if not isinstance(gamma, list) or len(gamma) != len(div):
-        raise ConfigError(f"config.weights.gamma must be a list of {len(div)} numbers, "
-                          "one per cone point")
-    alpha = _as_float(raw.get("alpha", 0.5), "config.weights.alpha")
-    order = _as_int(raw.get("k", 0), "config.weights.k")
-    try:
-        return WeightSpec(
-            gamma=[_as_float(g, "config.weights.gamma entry") for g in gamma],
-            holder_alpha=alpha,
-            order_k=order,
-        )
-    except ConesphereError as exc:
-        raise ConfigError(f"invalid weights: {exc}") from exc
-
-
-_TARGET_KEYS = {"constant": ("value",), "expression": tuple("abcd"), "grid": ("path",),
-                "manufactured": ("north", "south")}
-
-
-def _parse_target(cfg):
-    raw = cfg.get("target", {"type": "constant", "value": 1.0})
-    kind = _require(raw, "type", "config.target")
-    if not isinstance(kind, str) or kind not in _TARGET_KEYS:
-        raise ConfigError(f"unknown target type {kind!r}")
-    _object(raw, ("type", *_TARGET_KEYS[kind]), "config.target")
-    if kind == "constant":
-        value = _as_float(_require(raw, "value", "config.target"), "config.target.value")
-        if value <= 0.0:
-            raise ConfigError(f"constant target curvature must be positive, got {value}")
-        return {"type": "constant", "value": value}
-    if kind == "expression":
-        coeffs = {key: _as_float(raw.get(key, 0.0), f"config.target.{key}") for key in "abcd"}
-        return {"type": "expression", **coeffs}
-    if kind == "grid":
-        return {"type": "grid", "path": str(_require(raw, "path", "config.target"))}
-    return {
-        "type": "manufactured",
-        "north": _as_float(raw.get("north", 1.0), "config.target.north"),
-        "south": _as_float(raw.get("south", 0.0), "config.target.south"),
-    }
-
-
-def _parse_outputs(cfg):
-    raw = _object(cfg.get("outputs", {}), ("fields", "mesh_off"), "config.outputs")
-    return {"fields": bool(raw.get("fields", True)), "mesh_off": bool(raw.get("mesh_off", False))}
+_JOB = {"divisor": _as_divisor, "target": {"type": "constant", "value": 1.0}, "mesh": {},
+        "weights": None, "solver": {}, "outputs": {}}
+_MESH = {"base_level": 4, "grading_levels": 0, "grading_radius": 0.3, "cutoff_radius": 1.2}
+_SOLVER = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+_WEIGHTS = {"gamma": _as_floats, "alpha": 0.5, "k": 0}
+_OUTPUTS = {"fields": True, "mesh_off": False}
+_TARGETS = {"constant": {"value": _as_float}, "expression": dict.fromkeys("abcd", 0.0),
+            "grid": {"path": _as_str}, "manufactured": {"north": 1.0, "south": 0.0}}
 
 
 class Job:
@@ -214,54 +166,59 @@ class Job:
     def __init__(self, path):
         try:
             with open(path) as fh:
-                cfg = json.load(fh)
+                raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        _object(cfg, ("divisor", "target", "mesh", "weights", "solver", "outputs"), "config")
-        self.divisor = _parse_divisor(cfg)
-        self.mesh_params = _parse_mesh(cfg)
-        self.solver_config = _parse_solver(cfg)
-        self.weights = _parse_weights(cfg, self.divisor)
-        self.target = _parse_target(cfg)
-        self.outputs = _parse_outputs(cfg)
+        raw = _section(raw, _JOB, "config")
+        self.divisor = raw["divisor"]
+        self.config = cfg = {
+            key: _section(raw[key], schema, f"config.{key}")
+            for key, schema in (("mesh", _MESH), ("solver", _SOLVER), ("outputs", _OUTPUTS))
+        }
+        bad = sorted(k for k, v in cfg["mesh"].items() if v < 0 or (v == 0 and "radius" in k))
+        if bad:
+            raise ConfigError(f"config.mesh {bad}: levels must be nonnegative, radii positive")
+        self.solver_config = _build(SolverConfig, "solver settings", **cfg["solver"])
+        kind = raw["target"].get("type") if isinstance(raw["target"], dict) else None
+        if not isinstance(kind, str) or kind not in _TARGETS:
+            raise ConfigError(f"unknown target type {kind!r}")
+        schema = {"type": _as_str, **_TARGETS[kind]}
+        cfg["target"] = target = _section(raw["target"], schema, "config.target")
+        if kind == "constant" and target["value"] <= 0.0:
+            raise ConfigError(f"constant target curvature must be positive, got {target['value']}")
+        self.weights = None
+        if raw["weights"] is not None:
+            cfg["weights"] = weights = _section(raw["weights"], _WEIGHTS, "config.weights")
+            if len(weights["gamma"]) != len(self.divisor):
+                raise ConfigError(f"config.weights.gamma must be a list of {len(self.divisor)} "
+                                  "numbers, one per cone point")
+            self.weights = _build(WeightSpec, "weights", gamma=weights["gamma"],
+                                  holder_alpha=weights["alpha"], order_k=weights["k"])
 
     def resolved(self) -> dict:
         """The configuration as actually used, defaults filled in."""
-        out = {
-            "divisor": [
-                {"position": [float(c) for c in p.position], "beta": float(p.beta)}
-                for p in self.divisor
-            ],
-            "mesh": dict(self.mesh_params),
-            "solver": dataclasses.asdict(self.solver_config),
-            "target": dict(self.target),
-            "outputs": dict(self.outputs),
-        }
-        if self.weights is not None:
-            out["weights"] = {
-                "gamma": list(self.weights.gamma),
-                "alpha": self.weights.holder_alpha,
-                "k": self.weights.order_k,
-            }
-        return out
+        cones = [{"position": [float(c) for c in p.position], "beta": float(p.beta)}
+                 for p in self.divisor]
+        return {"divisor": cones, **self.config}
 
     def build_geometry(self):
+        params = self.config["mesh"]
         mesh = build_mesh(
-            self.mesh_params["base_level"],
+            params["base_level"],
             self.divisor,
-            grading=self.mesh_params["grading_levels"],
-            grading_radius=self.mesh_params["grading_radius"],
+            grading=params["grading_levels"],
+            grading_radius=params["grading_radius"],
         )
-        bg = build_background(self.divisor, mesh, cutoff_radius=self.mesh_params["cutoff_radius"])
+        bg = build_background(self.divisor, mesh, cutoff_radius=params["cutoff_radius"])
         return mesh, bg
 
     def resolve_target(self, bg):
         """Nodewise target curvature; returns (K, manufactured_u or None).
         Its positivity is checked by the solver."""
         mesh = bg.mesh
-        spec = self.target
+        spec = self.config["target"]
         if spec["type"] == "constant":
             return np.full(mesh.n_vertices, spec["value"]), None
         if spec["type"] == "expression":
@@ -294,6 +251,7 @@ def _read_grid(path, mesh):
 
 
 def _write_report(out_dir, name, payload):
+    """Write payload and a timestamp to out_dir/name, dataclasses as objects."""
     os.makedirs(out_dir, exist_ok=True)
     doc = {
         "report": payload,
@@ -301,7 +259,7 @@ def _write_report(out_dir, name, payload):
     }
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=dataclasses.asdict)
         fh.write("\n")
     return path
 
@@ -324,20 +282,14 @@ def cmd_check(args) -> int:
     scope = solver_scope_check(job.divisor)
     payload = {
         "config": job.resolved(),
-        "scope": scope.as_dict(),
+        "scope": scope,
         "euler_characteristic": euler_characteristic(job.divisor),
     }
     passed = scope.passed
     if len(job.divisor) >= 3:
-        troy = troyanov_check(job.divisor)
-        payload["troyanov"] = {"passed": troy.passed, "margins": list(troy.margins)}
+        payload["troyanov"] = troyanov_check(job.divisor)
     if job.weights is not None:
-        wrep = weight_admissible(job.weights, job.divisor)
-        payload["weights"] = {
-            "passed": wrep.passed,
-            "positivity": list(wrep.positivity),
-            "nearest_forbidden": [list(item) for item in wrep.nearest_forbidden],
-        }
+        payload["weights"] = wrep = weight_admissible(job.weights, job.divisor)
         passed = passed and wrep.passed
     payload["passed"] = passed
     _write_report(args.out, "check.json", payload)
@@ -378,7 +330,7 @@ def cmd_solve(args) -> int:
         _write_report(args.out, "solve.json", payload)
         print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    payload["solver"] = report.as_dict()
+    payload["solver"] = report
     payload["n_vertices"] = mesh.n_vertices
     payload["cones"] = _cone_entries(bg, u)
     outside = [i for i, cone in enumerate(payload["cones"]) if not cone["ring_in_harmonic_zone"]]
@@ -389,14 +341,14 @@ def cmd_solve(args) -> int:
         ]
     if manufactured is not None:
         payload["manufactured_error"] = float(np.max(np.abs(u - manufactured)))
-    if job.outputs["fields"]:
+    if job.config["outputs"]["fields"]:
         os.makedirs(args.out, exist_ok=True)
         achieved = curvature_map(bg, u, cone_tol=np.inf)
         write_csv(os.path.join(args.out, "u.csv"), mesh, u)
         write_csv(os.path.join(args.out, "k_achieved.csv"), mesh, achieved)
         write_csv(os.path.join(args.out, "rho.csv"), mesh, np.exp(bg.log_rho))
         write_csv(os.path.join(args.out, "k_beta.csv"), mesh, bg.k_beta)
-    if job.outputs["mesh_off"]:
+    if job.config["outputs"]["mesh_off"]:
         os.makedirs(args.out, exist_ok=True)
         write_off(os.path.join(args.out, "mesh.off"), mesh)
     _write_report(args.out, "solve.json", payload)
@@ -451,11 +403,11 @@ def cmd_gauss_bonnet(args) -> int:
     report = gauss_bonnet(bg, np.zeros(bg.n_vertices))
     payload = {
         "config": job.resolved(),
-        "gauss_bonnet": report.as_dict(),
+        "gauss_bonnet": report,
         "euler_characteristic": euler_characteristic(job.divisor),
     }
     _write_report(args.out, "gauss_bonnet.json", payload)
-    _print_lines(payload["gauss_bonnet"])
+    _print_lines(dataclasses.asdict(report))
     return 0
 
 
@@ -512,7 +464,7 @@ def _triangle_example(angles, out_dir) -> int:
     payload = {
         "example": {"name": "triangle", "angles": [float(a) for a in angles]},
         "betas": [float(b) for b in div.betas],
-        "scope": scope.as_dict(),
+        "scope": scope,
         "euler_characteristic": euler_characteristic(div),
         "symmetry_group_order": len(maps),
     }
@@ -523,16 +475,15 @@ def _triangle_example(angles, out_dir) -> int:
         mesh = build_mesh(5, div, grading=2)
         bg = build_background(div, mesh)
         gb = gauss_bonnet(bg, np.zeros(bg.n_vertices))
-        payload["gauss_bonnet"] = gb.as_dict()
     except ConesphereError as exc:
-        payload["gauss_bonnet"] = None
+        gb = None
         payload["gauss_bonnet_unavailable"] = f"{type(exc).__name__}: {exc}"
+    payload["gauss_bonnet"] = gb
     _write_report(out_dir, "example.json", payload)
-    gb = payload["gauss_bonnet"]
     _print_lines(
         {
             "scope_passed": scope.passed,
-            "gauss_bonnet_residual": gb["residual"] if gb else None,
+            "gauss_bonnet_residual": gb.residual if gb else None,
             "symmetry_group_order": len(maps),
         }
     )

@@ -33,9 +33,6 @@ class SpectralResult:
     eigenfunctions: np.ndarray  # columns, orthonormal in the mass inner product
     weighted: bool
 
-    def as_dict(self):
-        return {"eigenvalues": [float(v) for v in self.eigenvalues], "weighted": self.weighted}
-
 
 def spectrum(bg: ConicalBackground, count: int, weighted: bool = True,
              log_factor: np.ndarray | None = None) -> SpectralResult:
@@ -65,11 +62,15 @@ def spectrum(bg: ConicalBackground, count: int, weighted: bool = True,
         scale[finite] = np.exp(2.0 * np.asarray(log_factor)[finite])
         mass = mass * scale
     v0 = np.random.default_rng(_EIG_SEED).standard_normal(n)
+    M = sp.diags(mass)
+    sigma = -0.1
     try:
+        lu = _factor((bg.mesh.stiffness - sigma * M).tocsc())
+        shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         vals, vecs = spla.eigsh(
-            bg.mesh.stiffness, k=count, M=sp.diags(mass), sigma=-0.1, v0=v0
+            bg.mesh.stiffness, k=count, M=M, sigma=sigma, v0=v0, OPinv=shift_invert
         )
-    except (spla.ArpackNoConvergence, RuntimeError) as exc:
+    except (SingularLinearization, spla.ArpackNoConvergence, RuntimeError) as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
     return SpectralResult(

@@ -219,31 +219,10 @@ class ScopeReport:
     chi_positive: bool
     chi: float
     distinct_triple: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.n_at_least_3
-            and self.betas_in_range
-            and self.troyanov
-            and self.chi_positive
-            and self.distinct_triple
-        )
+    passed: bool  # all of the above
 
     def __bool__(self) -> bool:
         return self.passed
-
-    def as_dict(self) -> dict:
-        return {
-            "n_at_least_3": self.n_at_least_3,
-            "betas_in_range": self.betas_in_range,
-            "troyanov": self.troyanov,
-            "troyanov_margins": list(self.troyanov_margins),
-            "chi_positive": self.chi_positive,
-            "chi": self.chi,
-            "distinct_triple": self.distinct_triple,
-            "passed": self.passed,
-        }
 
 
 def _has_distinct_triple(betas: np.ndarray) -> bool:
@@ -261,6 +240,7 @@ def solver_scope_check(div: Divisor) -> ScopeReport:
     else:
         troy_ok, margins = False, ()
     chi = euler_characteristic(div)
+    distinct = _has_distinct_triple(betas) if len(div) else False
     return ScopeReport(
         n_at_least_3=n_ok,
         betas_in_range=range_ok,
@@ -268,7 +248,8 @@ def solver_scope_check(div: Divisor) -> ScopeReport:
         troyanov_margins=margins,
         chi_positive=chi > 0.0,
         chi=chi,
-        distinct_triple=_has_distinct_triple(betas) if len(div) else False,
+        distinct_triple=distinct,
+        passed=n_ok and range_ok and troy_ok and chi > 0.0 and distinct,
     )
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,16 +76,6 @@ class SolverReport:
     continuation_path: list = field(default_factory=list)  # (t, iterations, residual)
     gauss_bonnet_residual: float = float("nan")
     warnings: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "converged": self.converged,
-            "final_residual_sup": self.final_residual_sup,
-            "newton_iterations_total": self.newton_iterations_total,
-            "continuation_path": [list(step) for step in self.continuation_path],
-            "gauss_bonnet_residual": self.gauss_bonnet_residual,
-            "warnings": list(self.warnings),
-        }
 
 
 @dataclass
@@ -169,15 +159,15 @@ def _jacobian(bg: ConicalBackground, u, lap_u):
 
 
 def _check_target(bg: ConicalBackground, K_target) -> np.ndarray:
-    """K_target as one float per node, positive (so not NaN) at every
-    non-cone node; the data term at a cone node comes from its 1-ring."""
+    """K_target as one float per node, positive and finite (so not NaN) at
+    every non-cone node; the data term at a cone node comes from its 1-ring."""
     K = bg._check(np.asarray(K_target, dtype=float), "K_target")
     K_free = K[_free_nodes(bg)]
-    bad = ~(K_free > 0.0)
+    bad = ~((K_free > 0.0) & (K_free < np.inf))
     if np.any(bad):
         raise NonPositiveTarget(
-            f"target curvature is not positive at {int(np.sum(bad))} non-cone nodes "
-            f"(minimum {float(np.min(K_free)):.6g})"
+            f"target curvature is not positive and finite at {int(np.sum(bad))} non-cone "
+            f"nodes (range {float(np.min(K_free)):.6g} to {float(np.max(K_free)):.6g})"
         )
     return K
 
@@ -253,7 +243,7 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
     K = _check_target(bg, K_target)
     scope = solver_scope_check(bg.divisor)
     if not scope.passed:
-        raise ScopeError(f"divisor outside solver scope: {scope.as_dict()}")
+        raise ScopeError(f"divisor outside solver scope: {asdict(scope)}")
     free = _free_nodes(bg)
 
     log_k0 = np.log(bg.k_beta[free])

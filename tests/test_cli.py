@@ -87,6 +87,9 @@ def test_unknown_keys_exit_2(tmp_path):
     cfg = flagship_config()
     cfg["divisor"][0]["oops"] = 1
     assert main(["check", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    cfg = flagship_config()
+    cfg["divisor"][0]["position"] = {"lat": 0.0, "lon": 0.0, "oops": 1}
+    assert main(["check", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
     # the two settings that were removed are unknown keys now
     for solver in ({"damping": 8}, {"continuation_steps": 1}):
         path = write_config(tmp_path, flagship_config(solver=solver))
@@ -114,6 +117,10 @@ BAD_SETTINGS = {
     "constant target": lambda cfg: cfg.update(target={"type": "constant", "value": math.nan}),
     "expression target": lambda cfg: cfg["target"].update(b=math.nan),
     "weights": lambda cfg: cfg.update(weights={"gamma": [math.nan, 0.5, 0.5]}),
+    # bool("no") is True: this used to write all four field dumps
+    "outputs": lambda cfg: cfg.update(outputs={"fields": "no"}),
+    # this used to pass check, and solve then read a file named "5"
+    "grid path": lambda cfg: cfg.update(target={"type": "grid", "path": 5}),
 }
 
 
@@ -163,6 +170,8 @@ def test_check_fuzzed_solver_section(tmp_path_factory, section):
 
 
 NON_NUMBERS = st.one_of(st.text(max_size=4), st.booleans(), st.none(), st.just([1.0]))
+NON_STRINGS = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.just(["a"]))
+NON_BOOLEANS = st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.none())
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.integers(min_value=-2**64, max_value=2**64))
 NOT_FINITE_NUMBER = st.one_of(
@@ -192,7 +201,7 @@ TARGET_SECTION = st.one_of(
     _section({"type": _kind("constant"), "value": POSITIVE}),
     _section({"type": _kind("expression")}, {key: NUMBER for key in "abcd"}),
     _section({"type": _kind("manufactured")}, {"north": NUMBER, "south": NUMBER}),
-    _section({"type": _kind("grid"), "path": _tagged(st.text(max_size=8), st.nothing())}),
+    _section({"type": _kind("grid"), "path": _tagged(st.text(max_size=8), NON_STRINGS)}),
     _section({"type": _tagged(st.nothing(), st.sampled_from(["torus", 1, None, ["grid"]]))}),
 )
 GAMMA = _tagged(
@@ -209,16 +218,19 @@ WEIGHTS_SECTION = _section({"gamma": GAMMA}, {
                      st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), NON_NUMBERS)),
     "k": LEVEL,
 })
+OUTPUTS_SECTION = _section({}, {key: _tagged(st.booleans(), NON_BOOLEANS)
+                                for key in ("fields", "mesh_off")})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(mesh=MESH_SECTION, target=TARGET_SECTION, weights=WEIGHTS_SECTION)
-def test_check_fuzzed_mesh_target_weights(tmp_path_factory, mesh, target, weights):
+@given(mesh=MESH_SECTION, target=TARGET_SECTION, weights=WEIGHTS_SECTION,
+       outputs=OUTPUTS_SECTION)
+def test_check_fuzzed_mesh_target_weights(tmp_path_factory, mesh, target, weights, outputs):
     # check builds no mesh, so huge levels allocate nothing
     tmp = tmp_path_factory.mktemp("fuzz")
-    cfg = flagship_config(mesh=mesh[0], target=target[0], weights=weights[0])
+    cfg = flagship_config(mesh=mesh[0], target=target[0], weights=weights[0], outputs=outputs[0])
     code = main(["check", "--config", write_config(tmp, cfg), "--out", str(tmp)])
-    if not (mesh[1] and target[1] and weights[1]):
+    if not (mesh[1] and target[1] and weights[1] and outputs[1]):
         assert code == 2
     else:
         spec = WeightSpec(gamma=weights[0]["gamma"])
@@ -296,8 +308,12 @@ def test_solve_huge_max_step_halvings(tmp_path):
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
 
 
-def test_solve_negative_expression_exits_1(tmp_path):
-    cfg = flagship_config(target={"type": "expression", "a": 1.0, "b": 2.0})
+@pytest.mark.parametrize("a, b", [
+    (1.0, 2.0),  # negative where x < -1/2
+    (1.5e308, 0.4e308),  # overflows to +inf where x > 0.74
+], ids=["negative", "overflow"])
+def test_solve_negative_expression_exits_1(tmp_path, a, b):
+    cfg = flagship_config(target={"type": "expression", "a": a, "b": b})
     path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
     rep = read_report(tmp_path, "solve.json")["report"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conesphere.background import build_background
 from conesphere.diagnostics import (
     conformal_killing_residual,
     exact_football,
@@ -93,6 +94,22 @@ def test_exact_football_area_and_poles():
     assert np.all(np.isneginf(w[mesh.cone_vertices]))
     area = float(np.sum(np.exp(2.0 * w) * mesh.areas))
     assert abs(area - 2.0 * math.pi) / (2.0 * math.pi) < 0.02
+
+
+def test_football_example_converges():
+    # the `example --name football --k 3` setting (grading 3, cutoff 1.5) at
+    # two base levels: the area and first-eigenvalue errors must both fall
+    div = football_divisor(3)
+    errors = []
+    for base in (3, 4):
+        mesh = build_mesh(base, div, grading=3)
+        w = exact_football(3, mesh)
+        area = float(np.sum(np.exp(2.0 * w) * mesh.areas))
+        bg = build_background(div, mesh, cutoff_radius=1.5)
+        lam1 = spectrum(bg, 4, weighted=False, log_factor=w).eigenvalues[1]
+        errors.append((abs(area - 4.0 * math.pi / 3) / (4.0 * math.pi / 3), abs(lam1 - 2.0)))
+    (area3, lam3), (area4, lam4) = errors
+    assert area3 >= 1.3 * area4 and lam3 >= 1.3 * lam4
 
 
 def test_exact_football_trivial_and_mesh_guard():

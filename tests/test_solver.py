@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 
 from conesphere import solver
 from conesphere.background import curvature_map, gauss_bonnet
-from conesphere.diagnostics import kernel_gap
+from conesphere.diagnostics import kernel_gap, spectrum
 from conesphere.errors import (
     ConesphereError,
     ContinuationStall,
@@ -18,6 +18,7 @@ from conesphere.errors import (
     NonPositiveTarget,
     ScopeError,
     SingularLinearization,
+    SpectralError,
 )
 from conesphere.solver import (
     SolverConfig,
@@ -109,6 +110,8 @@ def test_singular_factorization(flagship_bg_small, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     bg = flagship_bg_small
     assert kernel_gap(bg, np.zeros(bg.n_vertices)) == 0.0
+    with pytest.raises(SpectralError, match="exactly singular"):
+        spectrum(bg, 3)
     K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
     with pytest.raises(SingularLinearization, match="exactly singular"):
         newton_solve(bg, K, np.zeros(bg.n_vertices))
