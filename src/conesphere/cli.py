@@ -223,7 +223,9 @@ class Job:
             return np.full(mesh.n_vertices, spec["value"]), None
         if spec["type"] == "expression":
             x, y, z = mesh.vertices.T
-            return spec["a"] + spec["b"] * x + spec["c"] * y + spec["d"] * z, None
+            # an overflowing target is reported by the solver's target check
+            with np.errstate(over="ignore", invalid="ignore"):
+                return spec["a"] + spec["b"] * x + spec["c"] * y + spec["d"] * z, None
         if spec["type"] == "grid":
             return _read_grid(spec["path"], mesh), None
         v = pinned_test_factor(bg, north=spec["north"], south=spec["south"])

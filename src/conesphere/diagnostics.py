@@ -22,7 +22,7 @@ from .divisor import ConePoint, Divisor
 from .errors import DomainError, GeometryError, ShapeError, SingularLinearization, SpectralError
 from .mesh import SphereMesh
 from .moebius import stereographic_chart
-from .solver import _factor, linearize
+from .solver import _factor, _free_nodes, linearize
 
 _EIG_SEED = 20260826
 
@@ -65,7 +65,7 @@ def spectrum(bg: ConicalBackground, count: int, weighted: bool = True,
     M = sp.diags(mass)
     sigma = -0.1
     try:
-        lu = _factor((bg.mesh.stiffness - sigma * M).tocsc())
+        lu = _factor((bg.mesh.stiffness - sigma * M).tocsc(), bg.mesh.ordering())
         shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         vals, vecs = spla.eigsh(
             bg.mesh.stiffness, k=count, M=M, sigma=sigma, v0=v0, OPinv=shift_invert
@@ -76,6 +76,16 @@ def spectrum(bg: ConicalBackground, count: int, weighted: bool = True,
     return SpectralResult(
         eigenvalues=vals[order], eigenfunctions=vecs[:, order], weighted=weighted
     )
+
+
+def _free_order(bg: ConicalBackground) -> np.ndarray:
+    """The mesh's node order restricted to the non-cone nodes, each renumbered
+    by its position among them (the rows of the linearized matrix)."""
+    free = _free_nodes(bg)
+    rank = np.full(bg.n_vertices, -1)
+    rank[free] = np.arange(len(free))
+    order = rank[bg.mesh.ordering()]
+    return order[order >= 0]
 
 
 def kernel_gap(bg: ConicalBackground, u: np.ndarray, tol: float = 1e-10,
@@ -90,7 +100,7 @@ def kernel_gap(bg: ConicalBackground, u: np.ndarray, tol: float = 1e-10,
     """
     A = linearize(bg, u).matrix.tocsc()
     try:
-        lu = _factor(A)
+        lu = _factor(A, _free_order(bg))
     except SingularLinearization:
         return 0.0  # an exactly singular factorization is an exactly zero gap
     rng = np.random.default_rng(_EIG_SEED)

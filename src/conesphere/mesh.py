@@ -360,6 +360,58 @@ def cotan_stiffness(verts, faces):
 
 
 # ---------------------------------------------------------------------------
+# Fill-reducing node order
+
+_DISSECTION_LEAF = 64  # parts this small are not split further
+
+
+def _dissection_order(points, i, j):
+    """Geometric nested-dissection order of the graph on `points` whose
+    undirected edges are the pairs (i[k], j[k]) (George, SIAM J. Numer.
+    Anal. 10, 1973).
+
+    A part is split at the median of its widest coordinate (stable sort);
+    its separator is the low-side nodes with a high-side neighbour.  The
+    part is ordered [low minus separator, high, separator], the two halves
+    dissected in turn, down to parts of _DISSECTION_LEAF nodes."""
+    coords = np.ascontiguousarray(points.T)  # rows reduce and gather fast
+    # Equal coordinates share a rank, so sorting the distinct keys
+    # rank * k + position of a part of k nodes sorts it stably by coordinate,
+    # with numpy's fast unstable sort.
+    rank = np.stack([np.unique(c, return_inverse=True)[1] for c in coords])
+    high = np.zeros(len(points), dtype=bool)
+    sep = np.zeros(len(points), dtype=bool)
+    out = []
+
+    def dissect(part, i, j):
+        if len(part) <= _DISSECTION_LEAF:
+            out.append(part)
+            return
+        x = coords.take(part, axis=1)
+        axis = int(np.argmax(x.max(axis=1) - x.min(axis=1)))
+        part = part[np.argsort(rank[axis].take(part) * len(part) + np.arange(len(part)))]
+        low, hi = part[: len(part) // 2], part[len(part) // 2 :]
+        high[hi] = True
+        hi_i, hi_j = high[i], high[j]
+        high[hi] = False
+        cut = hi_i != hi_j
+        sep[np.where(hi_i[cut], j[cut], i[cut])] = True
+        in_sep = sep[low]
+        # The low half keeps its edges to the separator, so an edge list can
+        # reach nodes of earlier separators.  Marking one of them in `sep`
+        # again is harmless: it lies in no later part, so no mark is ever
+        # read for it, and no mark needs clearing.
+        low_side = ~(hi_i | hi_j)
+        high_side = hi_i & hi_j
+        dissect(low[~in_sep], i[low_side], j[low_side])
+        dissect(hi, i[high_side], j[high_side])
+        out.append(low[in_sep])
+
+    dissect(np.arange(len(points)), i, j)
+    return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
 # The mesh object
 
 
@@ -374,6 +426,7 @@ class SphereMesh:
     cone_vertices: np.ndarray  # index of the mesh node carrying each cone point
     _adjacency: list = field(default=None, repr=False)
     _lap_edges: tuple = field(default=None, repr=False)
+    _ordering: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -402,6 +455,15 @@ class SphereMesh:
             # Laplacian flux coefficient is their negative
             self._lap_edges = (coo.row[off], coo.col[off], -coo.data[off])
         return self._lap_edges
+
+    def ordering(self) -> np.ndarray:
+        """Fill-reducing order of the nodes for sparse LU of matrices with the
+        stiffness pattern: a nested-dissection permutation, computed once."""
+        if self._ordering is None:
+            i, j, _ = self._edge_form()
+            upper = i < j
+            self._ordering = _dissection_order(self.vertices, i[upper], j[upper])
+        return self._ordering
 
     def adjacency(self):
         if self._adjacency is None:

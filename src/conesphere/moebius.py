@@ -14,6 +14,7 @@ conformal distortion factor are all smooth in [z : w].
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -155,7 +156,7 @@ class MoebiusMap:
         pole = pole / np.linalg.norm(pole)
         if np.allclose(pole, self.pole, atol=1e-15):
             return MoebiusMap(self.a, self.b, self.c, self.d, pole)
-        trans = _chart_transition(self.pole, pole)
+        trans = _chart_transition(np.asarray(self.pole, dtype=float).tobytes(), pole.tobytes())
         mat = _normalize_det(trans @ self.matrix @ _inv2(trans))
         return MoebiusMap(mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1], pole)
 
@@ -174,18 +175,23 @@ def _inv2(mat):
     return _adjugate(mat) / det
 
 
-def _chart_transition(pole_from, pole_to):
+@functools.lru_cache(maxsize=256)
+def _chart_transition(pole_from: bytes, pole_to: bytes):
     """Matrix of the holomorphic coordinate change between two stereographic
-    charts (both frames are right-handed, so the transition is Moebius)."""
-    ch_from = stereographic_chart(pole_from)
-    ch_to = stereographic_chart(pole_to)
+    charts (both frames are right-handed, so the transition is Moebius).
+    Each pole is the bytes of a float64 3-vector, so that the matrix is
+    computed once per pair of poles; it is returned read-only."""
+    ch_from = stereographic_chart(np.frombuffer(pole_from))
+    ch_to = stereographic_chart(np.frombuffer(pole_to))
     ref = _unproject_hom(
         ch_from, np.array([0.0, 1.0, 1.0], dtype=complex), np.array([1.0, 1.0, 0.0], dtype=complex)
     )
     z, w = _project_hom(ch_to, ref)
     # source coordinates are (0, 1, inf), so the transition is the inverse of
     # the normalizer of the images
-    return _normalize_det(_inv2(_normalizer(z, w)))
+    trans = _normalize_det(_inv2(_normalizer(z, w)))
+    trans.setflags(write=False)
+    return trans
 
 
 def identity_map(pole=(0.0, 0.0, 1.0)) -> MoebiusMap:

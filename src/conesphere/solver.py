@@ -172,11 +172,28 @@ def _check_target(bg: ConicalBackground, K_target) -> np.ndarray:
     return K
 
 
-def _factor(A: sp.csc_matrix):
-    """SuperLU factorization of A; SingularLinearization if SuperLU fails.
-    splu is looked up on scipy's module, so a wrapper installed there sees it."""
+@dataclass(frozen=True)
+class _OrderedLU:
+    """SuperLU factors of A[order][:, order]; `solve` solves with A itself."""
+
+    lu: spla.SuperLU
+    order: np.ndarray
+
+    def solve(self, b, trans="N"):
+        y = self.lu.solve(b[self.order], trans)
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
+def _factor(A: sp.csc_matrix, order: np.ndarray) -> _OrderedLU:
+    """SuperLU factorization of A with rows and columns taken in the fill-
+    reducing `order` (SphereMesh.ordering, or its restriction to the rows of
+    A); SuperLU adds no column permutation of its own and pivots rows as
+    usual.  SingularLinearization if SuperLU fails.  splu is looked up on
+    scipy's module, so a wrapper installed there sees it."""
     try:
-        return spla.splu(A)
+        return _OrderedLU(spla.splu(A[order][:, order], permc_spec="NATURAL"), order)
     except RuntimeError as exc:
         raise SingularLinearization(f"sparse factorization failed: {exc}") from exc
 
@@ -196,7 +213,7 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
                 f"no convergence in {cfg.max_newton_iters} iterations (residual {res:.3e})"
             )
         J = _jacobian(bg, u, lap_u)
-        lu = _factor(J)
+        lu = _factor(J, bg.mesh.ordering())
         d = lu.solve(-F)
         # one step of iterative refinement: the row scaling e^{-2u}/area
         # spans many orders of magnitude on graded meshes and a raw

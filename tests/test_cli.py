@@ -312,6 +312,7 @@ def test_solve_huge_max_step_halvings(tmp_path):
     (1.0, 2.0),  # negative where x < -1/2
     (1.5e308, 0.4e308),  # overflows to +inf where x > 0.74
 ], ids=["negative", "overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_negative_expression_exits_1(tmp_path, a, b):
     cfg = flagship_config(target={"type": "expression", "a": a, "b": b})
     path = write_config(tmp_path, cfg)

@@ -167,6 +167,33 @@ def test_build_mesh_parameter_validation():
         build_mesh(3, close)
 
 
+def reference_dissection(points, nbrs, part):
+    """Nested dissection as specified, on adjacency sets: split at the median
+    of the widest coordinate (stable sort), separator = low nodes with a high
+    neighbour, order [low minus separator, high, separator], leaves of 64."""
+    if len(part) <= 64:
+        return list(part)
+    x = points[part]
+    part = part[np.argsort(x[:, np.argmax(np.ptp(x, axis=0))], kind="stable")]
+    low, high = part[: len(part) // 2], part[len(part) // 2 :]
+    high_set = set(high.tolist())
+    sep = [v for v in low if nbrs[v] & high_set]
+    rest = np.array([v for v in low if not nbrs[v] & high_set], dtype=int)
+    return (reference_dissection(points, nbrs, rest)
+            + reference_dissection(points, nbrs, high) + sep)
+
+
+def test_ordering_is_the_cached_nested_dissection():
+    div = flagship_divisor()
+    mesh = build_mesh(3, div, grading=2)
+    order = mesh.ordering()
+    expected = reference_dissection(mesh.vertices, mesh.adjacency(), np.arange(mesh.n_vertices))
+    assert np.array_equal(order, expected)
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
+    assert mesh.ordering() is order
+    assert np.array_equal(build_mesh(3, div, grading=2).ordering(), order)
+
+
 def test_ring_contains_center_and_grows():
     mesh = build_mesh(3)
     r1 = mesh.ring(0, 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conesphere import solver
+from conesphere import diagnostics, solver
 from conesphere.background import curvature_map, gauss_bonnet
 from conesphere.diagnostics import kernel_gap, spectrum
 from conesphere.errors import (
@@ -104,7 +104,7 @@ def test_nan_never_passes(flagship_bg_small):
 
 
 def test_singular_factorization(flagship_bg_small, monkeypatch):
-    def singular(A):
+    def singular(A, **options):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
@@ -115,6 +115,41 @@ def test_singular_factorization(flagship_bg_small, monkeypatch):
     K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
     with pytest.raises(SingularLinearization, match="exactly singular"):
         newton_solve(bg, K, np.zeros(bg.n_vertices))
+
+
+def test_ordered_factorization_matches_plain_lu(flagship_bg_small):
+    bg = flagship_bg_small
+    u = pinned_test_factor(bg, north=0.5, south=0.2)
+    F, lap_u = _residual(bg, u, solver._product_field(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
+    J = _jacobian(bg, u, lap_u)
+    lu = solver._factor(J, bg.mesh.ordering())
+    plain = scipy.sparse.linalg.splu(J)
+    for trans in ("N", "T"):
+        x, ref = lu.solve(F, trans), plain.solve(F, trans)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_ordered_factorization_fills_less_than_colamd(round_bg5):
+    bg = round_bg5
+    J = _jacobian(bg, np.zeros(bg.n_vertices), np.zeros(bg.n_vertices))
+    assert solver._factor(J, bg.mesh.ordering()).lu.nnz < scipy.sparse.linalg.splu(J).nnz
+
+
+def test_kernel_gap_free_order_is_a_permutation(flagship_bg_small):
+    bg = flagship_bg_small
+    order = diagnostics._free_order(bg)
+    assert np.array_equal(np.sort(order), np.arange(len(solver._free_nodes(bg))))
+
+
+def test_diagnostics_match_colamd_factorization(flagship_bg_small, monkeypatch):
+    bg = flagship_bg_small
+    u = np.zeros(bg.n_vertices)
+    gap, vals = kernel_gap(bg, u), spectrum(bg, 4).eigenvalues
+    # the factorization before the node order: SuperLU's own COLAMD order
+    monkeypatch.setattr(diagnostics, "_factor", lambda A, order: scipy.sparse.linalg.splu(A))
+    assert kernel_gap(bg, u) == pytest.approx(gap, rel=1e-9)
+    ref = spectrum(bg, 4).eigenvalues
+    np.testing.assert_allclose(vals, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
 
 
 def test_continuation_out_of_scope(gallery):
