@@ -97,13 +97,23 @@ def icosphere(level: int):
 # Cone snapping and local smoothing
 
 
-def _vertex_adjacency(n_verts, faces):
-    nbrs = [set() for _ in range(n_verts)]
-    for a, b, c in faces:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    return nbrs
+class _Neighbours:
+    """Neighbour sets of the nodes, `nbrs[v]` built when indexed.  A stable
+    argsort groups the corners by node in face order, and each corner adds its
+    face's other two corners in corner order: the insertion order of a loop
+    over the faces, so each set iterates as that loop's set does (the
+    Gauss-Seidel relaxation of `_snap_cones` follows that order)."""
+
+    def __init__(self, n_verts, faces):
+        flat = faces.ravel()
+        corner = np.argsort(flat, kind="stable")
+        k = corner % 3
+        self._seq = flat[(corner - k)[:, None] + np.array([[1, 2], [0, 2], [0, 1]])[k]].ravel()
+        count = np.bincount(flat, minlength=n_verts)
+        self._start = [0] + (2 * np.cumsum(count)).tolist()
+
+    def __getitem__(self, v):
+        return set(self._seq[self._start[v] : self._start[v + 1]].tolist())
 
 
 def _rings(nbrs, center, depth):
@@ -127,7 +137,7 @@ def _snap_cones(verts, faces, positions):
         verts[i] = pos
         cone_ids.append(i)
 
-    nbrs = _vertex_adjacency(len(verts), faces)
+    nbrs = _Neighbours(len(verts), faces)
     frozen = set(cone_ids)
     free = set()
     for i in cone_ids:
@@ -424,9 +434,10 @@ class SphereMesh:
     areas: np.ndarray
     stiffness: sp.csr_matrix
     cone_vertices: np.ndarray  # index of the mesh node carrying each cone point
-    _adjacency: list = field(default=None, repr=False)
+    _adjacency: _Neighbours = field(default=None, repr=False)
     _lap_edges: tuple = field(default=None, repr=False)
     _ordering: np.ndarray = field(default=None, repr=False)
+    _csv_coords: list = field(default=None, repr=False)  # "x,y,z," text of each node
 
     @property
     def n_vertices(self) -> int:
@@ -467,7 +478,7 @@ class SphereMesh:
 
     def adjacency(self):
         if self._adjacency is None:
-            self._adjacency = _vertex_adjacency(self.n_vertices, self.faces)
+            self._adjacency = _Neighbours(self.n_vertices, self.faces)
         return self._adjacency
 
     def ring(self, center: int, depth: int = 2):
@@ -539,19 +550,23 @@ def build_mesh(
 
 def write_off(path, mesh: SphereMesh):
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {len(mesh.faces)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {len(mesh.faces)} 0\n")
+        fh.write(("%.17g %.17g %.17g\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist()))
+        fh.write(("3 %d %d %d\n" * len(mesh.faces)) % tuple(mesh.faces.ravel().tolist()))
 
 
 def write_csv(path, mesh: SphereMesh, values: np.ndarray):
+    """Rows x,y,z,value per node; the coordinate text is formatted once per mesh."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (mesh.n_vertices,):
-        raise ShapeError(f"values shape {values.shape} does not match {mesh.n_vertices} nodes")
-    rows = np.column_stack([mesh.vertices, values])
+    n = mesh.n_vertices
+    if values.shape != (n,):
+        raise ShapeError(f"values shape {values.shape} does not match {n} nodes")
+    if mesh._csv_coords is None:
+        text = ("%.17g,%.17g,%.17g,\n" * n) % tuple(mesh.vertices.ravel().tolist())
+        mesh._csv_coords = text.split("\n")[:n]
+    cells = [None] * (2 * n)
+    cells[::2] = mesh._csv_coords
+    cells[1::2] = values.tolist()
     with open(path, "w") as fh:
         fh.write("x,y,z,value\n")
-        fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
+        fh.write(("%s%.17g\n" * n) % tuple(cells))

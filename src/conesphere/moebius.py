@@ -281,13 +281,20 @@ def enumerate_conformal_symmetries(div: Divisor, tol: float = 1e-9):
 
     Each kept map is moebius_from_triples(base, image triple) for the first
     triple, in itertools.permutations order, that induces its permutation;
-    the maps come sorted by permutation.
+    the maps come sorted by permutation.  Two marked points within chordal
+    distance `tol` of each other raise DomainError before the screen, since
+    rounding would decide which of the two an image matches.
     """
     n = len(div.points)
     if n < 3:
         raise ScopeError("symmetry enumeration needs at least 3 marked points")
     positions = np.array([p.position for p in div.points])
     betas = np.array([p.beta for p in div.points])
+    dist = np.linalg.norm(positions[:, None] - positions, axis=2)
+    near = np.argwhere(np.triu(dist <= tol, 1))
+    if len(near):
+        i, j = near[0].tolist()
+        raise DomainError(f"marked points {i} and {j} lie within tol = {tol:g} of each other")
     chart = stereographic_chart(_pick_pole(positions))
     z, w = _project_hom(chart, positions)
 
@@ -296,7 +303,7 @@ def enumerate_conformal_symmetries(div: Divisor, tol: float = 1e-9):
     # coincident points, and all of them if the base triple has two
     same = [np.flatnonzero(np.abs(betas - b) <= _BETA_TOL) for b in betas[:3]]
     triples = np.stack(np.meshgrid(*same, indexing="ij"), axis=-1).reshape(-1, 3)
-    apart = np.linalg.norm(positions[:, None] - positions, axis=2) >= _COINCIDENT
+    apart = dist >= _COINCIDENT
     base_apart = apart[0, 1] & apart[0, 2] & apart[1, 2]
     t0, t1, t2 = triples.T
     triples = triples[base_apart & apart[t0, t1] & apart[t0, t2] & apart[t1, t2]]

@@ -373,6 +373,19 @@ def test_symmetries_command(tmp_path):
     assert read_report(tmp_path, "symmetries.json")["report"]["group_order"] == 6
 
 
+def test_symmetries_near_coincident_points_exit_1(tmp_path, capsys):
+    near = {
+        "divisor": [
+            {"position": [math.cos(a), math.sin(a), 0.0], "beta": -0.3}
+            for a in (0.0, 2.0, 4.0, 4.0 + 5e-10)
+        ]
+    }
+    path = write_config(tmp_path, near)
+    assert main(["symmetries", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "DomainError: marked points 2 and 3 lie within tol" in capsys.readouterr().err
+    assert not (tmp_path / "symmetries.json").exists()
+
+
 def test_gauss_bonnet_command(tmp_path):
     path = write_config(tmp_path, flagship_config())
     assert main(["gauss-bonnet", "--config", path, "--out", str(tmp_path)]) == 0

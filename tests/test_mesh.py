@@ -194,6 +194,27 @@ def test_ordering_is_the_cached_nested_dissection():
     assert np.array_equal(build_mesh(3, div, grading=2).ordering(), order)
 
 
+def reference_adjacency(n_verts, faces):
+    """Neighbour sets filled by a plain loop over the faces."""
+    nbrs = [set() for _ in range(n_verts)]
+    for a, b, c in faces.tolist():
+        nbrs[a].update((b, c))
+        nbrs[b].update((a, c))
+        nbrs[c].update((a, b))
+    return nbrs
+
+
+@pytest.mark.parametrize("div", [flagship_divisor(), None], ids=["flagship-graded", "icosphere"])
+def test_adjacency_iterates_in_face_loop_order(div):
+    # Cone snapping relaxes nodes Gauss-Seidel in set order, so the sets
+    # must iterate exactly as the loop's do, not merely hold the same nodes.
+    mesh = build_mesh(3, div, grading=2 if div else 0)
+    ref = reference_adjacency(mesh.n_vertices, mesh.faces)
+    nbrs = mesh.adjacency()
+    assert all(list(ref[v]) == list(nbrs[v]) for v in range(mesh.n_vertices))
+    assert mesh.adjacency() is nbrs
+
+
 def test_ring_contains_center_and_grows():
     mesh = build_mesh(3)
     r1 = mesh.ring(0, 1)
@@ -227,3 +248,36 @@ def test_write_csv_and_off(tmp_path):
     with pytest.raises(ShapeError):
         write_csv(tmp_path / "bad.csv", mesh, f[:-1])
 
+
+def lines(text_or_path):
+    """Lines with their ends, of a string or of a file's text."""
+    text = text_or_path if isinstance(text_or_path, str) else text_or_path.read_text()
+    return text.splitlines(keepends=True)
+
+
+def test_write_csv_formats_each_mesh_once(tmp_path):
+    """Two fields on one mesh (the cached coordinates reused), then one on a
+    second mesh with as many nodes (its own coordinates, not the first's)."""
+    snapped, plain = build_mesh(3, flagship_divisor()), build_mesh(3)
+    fields = [
+        (snapped, snapped.vertices[:, 0] ** 3),
+        (snapped, np.exp(snapped.vertices[:, 2])),
+        (plain, 1.0 / (3.0 + plain.vertices[:, 1])),
+    ]
+    for k, (mesh, values) in enumerate(fields):
+        path = tmp_path / f"field{k}.csv"
+        write_csv(path, mesh, values)
+        rows = np.column_stack([mesh.vertices, values])
+        expected = ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+        # line lists, not one string: pytest's diff of two long strings is slow
+        assert lines(path) == lines("x,y,z,value\n" + expected)
+
+
+def test_write_off_matches_per_line_formatting(tmp_path):
+    mesh = build_mesh(3, flagship_divisor(), grading=2)
+    path = tmp_path / "mesh.off"
+    write_off(path, mesh)
+    expected = [f"OFF\n{mesh.n_vertices} {len(mesh.faces)} 0\n"]
+    expected += [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in mesh.vertices]
+    expected += [f"3 {f[0]} {f[1]} {f[2]}\n" for f in mesh.faces]
+    assert lines(path) == lines("".join(expected))

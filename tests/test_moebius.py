@@ -288,9 +288,9 @@ def _equatorial(azimuths, betas):
     return divisor([[math.cos(a), math.sin(a), 0.0] for a in azimuths], betas)
 
 
-def _ulp_pair():
+def _ulp_pair(seed=3):
     """Four random points and a fifth one ulp away from the fourth."""
-    p = sample_points(4, seed=3)
+    p = sample_points(4, seed=seed)
     return divisor(np.vstack([p, p[3] + np.array([1.0, -1.0, 1.0]) * np.spacing(p[3])]), [-0.3] * 5)
 
 
@@ -313,9 +313,6 @@ ENUMERATION_CASES = {
         _equatorial([0.0, 1.25, 2.51, 3.75, 5.0], [-0.3] * 5), 0.1,
         "composition (2, 1, 0, 4, 3) o (4, 0, 1, 2, 3) drifts beyond tolerance",
     ),
-    # triples holding the near pair are skipped, as moebius_from_triples
-    # rejects them; they must not reach the batched screen
-    "ulp-pair": (_ulp_pair(), 1e-9, "enumerated symmetry set lacks the identity"),
 }
 
 
@@ -328,6 +325,23 @@ def test_enumeration_matches_brute_force(name):
         assert got == expected
     else:
         assert len(got) == expected
+
+
+# Marked points within tol of each other make the induced permutation a
+# matter of rounding, so the enumeration refuses them before the screen,
+# whatever the arithmetic path would have made of them.
+NEAR_PAIRS = {
+    "ulp-pair": [_ulp_pair(seed) for seed in range(60)],
+    "within-tol": [_equatorial([0.0, 2.0, 4.0, 4.0 + 5e-10], [-0.3] * 4)],
+}
+
+
+@pytest.mark.parametrize("name", NEAR_PAIRS)
+def test_enumeration_rejects_near_coincident_points(name):
+    for div in NEAR_PAIRS[name]:
+        n = len(div)  # the near pair is the last two points
+        with pytest.raises(DomainError, match=f"marked points {n - 2} and {n - 1} lie within tol"):
+            enumerate_conformal_symmetries(div, tol=1e-9)
 
 
 def test_enumeration_matches_recorded_icosahedral_group():
