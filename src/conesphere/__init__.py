@@ -59,7 +59,6 @@ from .moebius import (
     stereographic_chart,
 )
 from .solver import (
-    LinearizedOperator,
     SolverConfig,
     SolverReport,
     continuation_solve,

@@ -238,9 +238,11 @@ def build_background(div: Divisor, mesh: SphereMesh, cutoff_radius: float = 1.2)
     if np.any(m_field <= 0.0):
         raise BackgroundError("background curvature factor 1 - beta*Lap(log rho) is nonpositive")
 
-    rho = np.exp(log_rho)
     cone = mesh.cone_vertices
-    rho[cone] = 0.0
+    # the product of the mesh rows with a cone position can round below 1,
+    # which leaves the cone's own vertex at a distance near 1e-8, not 0
+    log_rho[cone] = -np.inf
+    rho = np.exp(log_rho)
     with np.errstate(over="ignore"):
         rho_neg = np.exp(-2.0 * beta_eff * log_rho)  # -> 0 at cones since beta < 0
         rho_pos = np.exp(2.0 * beta_eff * log_rho)

@@ -243,7 +243,8 @@ def _read_grid(path, mesh):
         raise ConfigError(
             f"grid file has shape {data.shape}, expected ({mesh.n_vertices}, 4) for this mesh"
         )
-    if float(np.max(np.linalg.norm(data[:, :3] - mesh.vertices, axis=1))) > 1e-9:
+    # written so that a NaN coordinate fails it
+    if not np.max(np.linalg.norm(data[:, :3] - mesh.vertices, axis=1)) <= 1e-9:
         raise ConfigError("grid file node coordinates do not match the mesh")
     return data[:, 3].copy()
 
@@ -348,7 +349,7 @@ def cmd_solve(args) -> int:
         achieved = curvature_map(bg, u, cone_tol=np.inf)
         write_csv(os.path.join(args.out, "u.csv"), mesh, u)
         write_csv(os.path.join(args.out, "k_achieved.csv"), mesh, achieved)
-        write_csv(os.path.join(args.out, "rho.csv"), mesh, np.exp(bg.log_rho))
+        write_csv(os.path.join(args.out, "rho.csv"), mesh, bg.rho)
         write_csv(os.path.join(args.out, "k_beta.csv"), mesh, bg.k_beta)
     if job.config["outputs"]["mesh_off"]:
         os.makedirs(args.out, exist_ok=True)
@@ -366,6 +367,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     job = Job(args.config)
     _, bg = job.build_geometry()
     result = spectrum(bg, args.count, weighted=True)

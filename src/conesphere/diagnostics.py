@@ -98,7 +98,7 @@ def kernel_gap(bg: ConicalBackground, u: np.ndarray, tol: float = 1e-10,
     signals a kernel.  On an empty divisor the pinned space is the full
     space, so the same call provides the round-sphere kernel control.
     """
-    A = linearize(bg, u).matrix.tocsc()
+    A = linearize(bg, u).tocsc()
     try:
         lu = _factor(A, _free_order(bg))
     except SingularLinearization:

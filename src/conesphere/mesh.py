@@ -308,9 +308,22 @@ def spherical_face_areas(verts, faces):
     return area
 
 
-def lumped_node_areas(verts, faces):
+def _corner_cotangents(verts, faces):
+    """(F, 3) table whose column k holds the cotangent of each face's flat
+    angle at corner k + 2, opposite its edge (k, k + 1) (corners mod 3)."""
+    cot = np.empty((len(faces), 3))
+    for k in range(3):
+        o = verts[faces[:, (k + 2) % 3]]
+        u = verts[faces[:, k]] - o
+        w = verts[faces[:, (k + 1) % 3]] - o
+        cot[:, k] = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
+    return cot
+
+
+def lumped_node_areas(verts, faces, cot):
     """Circumcentric (mixed Voronoi) lumping, rescaled per triangle so the
-    three contributions sum to the spherical triangle area.
+    three contributions sum to the spherical triangle area; `cot` is the
+    _corner_cotangents table.
 
     Total node area is then exactly 4*pi, while the Voronoi-style split keeps
     the pointwise Laplacian consistent at the twelve valence-5 vertices,
@@ -323,13 +336,11 @@ def lumped_node_areas(verts, faces):
     flat_area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
     contrib = np.zeros((len(faces), 3))
     for k in range(3):
-        i, j, o = k, (k + 1) % 3, (k + 2) % 3
-        u = corners[i] - corners[o]
-        w = corners[j] - corners[o]
-        cot = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
-        e2 = np.einsum("ij,ij->i", corners[i] - corners[j], corners[i] - corners[j])
-        contrib[:, i] += e2 * cot / 8.0
-        contrib[:, j] += e2 * cot / 8.0
+        i, j = k, (k + 1) % 3
+        edge = corners[i] - corners[j]
+        share = np.einsum("ij,ij->i", edge, edge) * cot[:, k] / 8.0
+        contrib[:, i] += share
+        contrib[:, j] += share
     # obtuse triangles: circumcenter lies outside, use the standard fallback
     for k in range(3):
         i, j, o = k, (k + 1) % 3, (k + 2) % 3
@@ -341,27 +352,20 @@ def lumped_node_areas(verts, faces):
         contrib[obtuse, o] = flat_area[obtuse] / 4.0
     sph = spherical_face_areas(verts, faces)
     contrib *= (sph / contrib.sum(axis=1))[:, None]
-    areas = np.zeros(len(verts))
-    for k in range(3):
-        np.add.at(areas, faces[:, k], contrib[:, k])
-    return areas
+    # corner-major: every face's corner 0, then corner 1, then corner 2
+    return np.bincount(faces.T.ravel(), weights=contrib.T.ravel(), minlength=len(verts))
 
 
-def cotan_stiffness(verts, faces):
-    """Cotangent stiffness matrix W (PSD, W @ 1 = 0) from flat face geometry."""
-    n = len(verts)
+def cotan_stiffness(faces, cot, n):
+    """Cotangent stiffness matrix W (PSD, W @ 1 = 0) on n nodes from the
+    _corner_cotangents table."""
+    half = 0.5 * cot
     ii, jj, vv = [], [], []
     for k in range(3):
-        i = faces[:, k]
-        j = faces[:, (k + 1) % 3]
-        o = faces[:, (k + 2) % 3]
-        u = verts[i] - verts[o]
-        w = verts[j] - verts[o]
-        cot = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
-        half = 0.5 * cot
+        i, j, h = faces[:, k], faces[:, (k + 1) % 3], half[:, k]
         ii.extend([i, j, i, j])
         jj.extend([j, i, i, j])
-        vv.extend([-half, -half, half, half])
+        vv.extend([-h, -h, h, h])
     W = sp.csr_matrix(
         (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(n, n)
     )
@@ -535,11 +539,12 @@ def build_mesh(
     if grading > 0 and len(positions):
         verts, faces = _grade_mesh(verts, faces, positions, grading, grading_radius, h_base)
 
+    cot = _corner_cotangents(verts, faces)
     return SphereMesh(
         vertices=verts,
         faces=faces,
-        areas=lumped_node_areas(verts, faces),
-        stiffness=cotan_stiffness(verts, faces),
+        areas=lumped_node_areas(verts, faces, cot),
+        stiffness=cotan_stiffness(faces, cot, len(verts)),
         cone_vertices=np.array(cone_ids, dtype=np.int64),
     )
 

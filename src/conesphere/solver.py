@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,24 +78,6 @@ class SolverReport:
     warnings: list = field(default_factory=list)
 
 
-@dataclass
-class LinearizedOperator:
-    """Differential of the curvature map at u, on the pinned subspace.
-
-    Action on a pinned h: -2 h K_g - e^{-2u} rho^{-2 beta} Lap h.
-    """
-
-    background: ConicalBackground
-    matrix: sp.csr_matrix  # restricted to free (non-cone) nodes
-    free: np.ndarray
-    diag_field: np.ndarray  # -2 K_g, all nodes
-    multiplier: np.ndarray  # e^{-2u} rho^{-2 beta}, all nodes
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        h = self.background._check_pinned(h, "h")
-        return self.diag_field * h - self.multiplier * self.background.mesh.laplace(h)
-
-
 def _free_nodes(bg: ConicalBackground) -> np.ndarray:
     mask = np.ones(bg.n_vertices, dtype=bool)
     mask[bg.cone_vertices] = False
@@ -109,27 +91,29 @@ def _derivative(bg: ConicalBackground, d, s):
     return sp.diags(d) + sp.diags(s / bg.mesh.areas) @ bg.mesh.stiffness
 
 
-def linearize(bg: ConicalBackground, u: np.ndarray) -> LinearizedOperator:
+def linearize(bg: ConicalBackground, u: np.ndarray) -> sp.csr_matrix:
+    """Differential of the curvature map at a pinned u, as a sparse matrix on
+    the non-cone nodes in ascending order (the rows of _free_nodes):
+    h -> -2 h K_g - e^{-2u} rho^{-2 beta} Lap h."""
     u = bg._check_pinned(u)
-    diag_field = -2.0 * curvature_map(bg, u)
-    mult = np.exp(-2.0 * u) * bg.rho_pow_neg2beta
     free = _free_nodes(bg)
-    M = _derivative(bg, diag_field, mult)[free][:, free]
-    return LinearizedOperator(
-        background=bg, matrix=M, free=free, diag_field=diag_field, multiplier=mult
-    )
+    d = -2.0 * curvature_map(bg, u)
+    return _derivative(bg, d, np.exp(-2.0 * u) * bg.rho_pow_neg2beta)[free][:, free]
 
 
 def self_adjointness_defect(bg: ConicalBackground, u, f, g) -> float:
-    """|<f, L g>_w - <L f, g>_w| for the base-point operator L in the
-    rho^{2 beta}-weighted inner product."""
+    """|<f, L g>_w - <L f, g>_w| for the base-point operator L on pinned f, g
+    in the rho^{2 beta}-weighted inner product."""
     u = np.asarray(u, dtype=float)
     if np.any(u != 0.0):
         raise ScopeError("self-adjointness is assembled at the base point u = 0 only")
+    free = _free_nodes(bg)
+    f = bg._check_pinned(f, "f")[free]
+    g = bg._check_pinned(g, "g")[free]
     # linearize gives -L, whose defect is the same as that of L
-    neg_L = linearize(bg, u).apply
-    w = bg.rho_pow_2beta * bg.mesh.areas
-    return abs(float(np.sum(f * neg_L(g) * w)) - float(np.sum(neg_L(f) * g * w)))
+    neg_L = linearize(bg, u)
+    w = (bg.rho_pow_2beta * bg.mesh.areas)[free]
+    return abs(float(np.sum(f * (neg_L @ g) * w)) - float(np.sum((neg_L @ f) * g * w)))
 
 
 def _product_field(bg: ConicalBackground, K):
@@ -278,7 +262,6 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
     path = []
     warnings = []
     total_iters = 0
-    last_report = None
     while t < 1.0:
         t_next = min(1.0, t + dt)
         try:
@@ -294,16 +277,10 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
         u, t = u_next, t_next
         total_iters += rep.newton_iterations_total
         path.append((t, rep.newton_iterations_total, rep.final_residual_sup))
-        last_report = rep
-    report = SolverReport(
-        converged=True,
-        final_residual_sup=last_report.final_residual_sup,
-        newton_iterations_total=total_iters,
-        continuation_path=path,
-        gauss_bonnet_residual=gauss_bonnet(bg, u, cone_tol=np.inf).residual,
-        warnings=warnings,
+    # the loop ends on an accepted step, whose report already certifies u
+    return u, replace(
+        rep, newton_iterations_total=total_iters, continuation_path=path, warnings=warnings
     )
-    return u, report
 
 
 def pinned_test_factor(bg: ConicalBackground, north: float = 1.0, south: float = 0.0):

@@ -13,7 +13,7 @@ from conesphere.background import (
     mean_laplacian_zero,
     weighted_norm,
 )
-from conesphere.divisor import Divisor, WeightSpec, equatorial_divisor
+from conesphere.divisor import ConePoint, Divisor, WeightSpec, equatorial_divisor
 from conesphere.errors import (
     BackgroundError,
     GeometryError,
@@ -129,3 +129,18 @@ def test_empty_divisor_background(round_bg4):
     assert len(bg.cone_vertices) == 0
     assert np.allclose(bg.k_beta, 1.0, atol=1e-14)
     assert np.allclose(bg.rho_pow_2beta, 1.0, atol=1e-14)
+
+
+def test_log_rho_is_minus_inf_at_every_cone():
+    # a rotated flagship divisor; the first position's product with the mesh
+    # rows can round below 1, which left its own vertex at a distance of
+    # about 1.5e-8 and log rho finite there
+    positions = (
+        [0.024852246985358151, 0.91283266334818514, -0.40757685722380949],
+        [0.8550033585418321, -0.4980930546906626, -0.14447340845675377],
+        [-0.8216123278412645, -0.306752393226551, 0.480474923371701],
+    )
+    div = Divisor(tuple(ConePoint(np.array(p), b) for p, b in zip(positions, (-0.3, -0.4, -0.5))))
+    bg = build_background(div, build_mesh(3, div))
+    assert np.all(bg.log_rho[bg.cone_vertices] == -np.inf)
+    assert np.all(bg.rho[bg.cone_vertices] == 0.0)

@@ -349,6 +349,30 @@ def test_solve_grid_mismatch_exits_2(tmp_path):
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("edits", [{7: "0.5"}, {5: "nan", 7: "0.5"}], ids=["wrong-node", "nan-and-wrong-node"])
+def test_solve_grid_bad_coordinates_exit_2(tmp_path, edits):
+    # a NaN deviation used to pass the node check and hide the wrong node
+    mesh = build_mesh(4, flagship_divisor(), grading=2)
+    grid = tmp_path / "target.csv"
+    write_csv(grid, mesh, np.ones(mesh.n_vertices))
+    lines = grid.read_text().splitlines()
+    for row, x in edits.items():
+        lines[row] = ",".join([x] + lines[row].split(",")[1:])
+    grid.write_text("\n".join(lines) + "\n")
+    path = write_config(tmp_path, flagship_config(target={"type": "grid", "path": str(grid)}))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_spectrum_count_below_one_exits_2(tmp_path, monkeypatch, count):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("the count is checked before any mesh is built")
+
+    monkeypatch.setattr("conesphere.cli.build_mesh", no_mesh)
+    path = write_config(tmp_path, flagship_config())
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path), "--count", count]) == 2
+
+
 def test_spectrum_command(tmp_path):
     path = write_config(tmp_path, flagship_config())
     assert main(["spectrum", "--config", path, "--out", str(tmp_path), "--count", "3"]) == 0

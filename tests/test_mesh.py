@@ -6,11 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conesphere.diagnostics import football_divisor
 from conesphere.divisor import equatorial_divisor, flagship_divisor
 from conesphere.errors import MeshError, ShapeError
-from conesphere.mesh import _icosahedron, _unique_edges, build_mesh, icosphere, write_csv, write_off
+from conesphere.mesh import (
+    _icosahedron,
+    _unique_edges,
+    build_mesh,
+    icosphere,
+    spherical_face_areas,
+    write_csv,
+    write_off,
+)
 
 
 def edge_set(faces):
@@ -213,6 +222,65 @@ def test_adjacency_iterates_in_face_loop_order(div):
     nbrs = mesh.adjacency()
     assert all(list(ref[v]) == list(nbrs[v]) for v in range(mesh.n_vertices))
     assert mesh.adjacency() is nbrs
+
+
+def reference_node_areas(verts, faces):
+    """Circumcentric lumping with its own cotangent loop and one scatter per
+    corner, as assembled before the cotangents were shared."""
+    corners = [verts[faces[:, k]] for k in range(3)]
+    a, b, c = corners
+    flat_area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    contrib = np.zeros((len(faces), 3))
+    for k in range(3):
+        i, j, o = k, (k + 1) % 3, (k + 2) % 3
+        u = corners[i] - corners[o]
+        w = corners[j] - corners[o]
+        cot = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
+        e2 = np.einsum("ij,ij->i", corners[i] - corners[j], corners[i] - corners[j])
+        contrib[:, i] += e2 * cot / 8.0
+        contrib[:, j] += e2 * cot / 8.0
+    for k in range(3):
+        i, j, o = k, (k + 1) % 3, (k + 2) % 3
+        obtuse = np.einsum("ij,ij->i", corners[j] - corners[i], corners[o] - corners[i]) < 0.0
+        contrib[obtuse, i] = flat_area[obtuse] / 2.0
+        contrib[obtuse, j] = flat_area[obtuse] / 4.0
+        contrib[obtuse, o] = flat_area[obtuse] / 4.0
+    contrib *= (spherical_face_areas(verts, faces) / contrib.sum(axis=1))[:, None]
+    areas = np.zeros(len(verts))
+    for k in range(3):
+        np.add.at(areas, faces[:, k], contrib[:, k])
+    return areas
+
+
+def reference_stiffness(verts, faces):
+    """Cotangent stiffness with its own cotangent loop."""
+    n = len(verts)
+    ii, jj, vv = [], [], []
+    for k in range(3):
+        i, j, o = faces[:, k], faces[:, (k + 1) % 3], faces[:, (k + 2) % 3]
+        u = verts[i] - verts[o]
+        w = verts[j] - verts[o]
+        cot = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
+        half = 0.5 * cot
+        ii.extend([i, j, i, j])
+        jj.extend([j, i, i, j])
+        vv.extend([-half, -half, half, half])
+    W = sp.csr_matrix((np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(n, n))
+    W.sum_duplicates()
+    return W
+
+
+@pytest.mark.parametrize("div, grading", [(flagship_divisor(), 3), (football_divisor(3), 3)],
+                         ids=["flagship-graded", "football-3"])
+def test_assembly_matches_per_function_cotangents(div, grading):
+    # one shared cotangent table and one bincount scatter add the same
+    # terms in the same order as the separate loops
+    mesh = build_mesh(4, div, grading=grading)
+    areas = reference_node_areas(mesh.vertices, mesh.faces)
+    W = reference_stiffness(mesh.vertices, mesh.faces)
+    assert mesh.areas.tobytes() == areas.tobytes()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(mesh.stiffness, name).tobytes() == getattr(W, name).tobytes()
 
 
 def test_ring_contains_center_and_grows():

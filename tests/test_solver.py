@@ -16,6 +16,7 @@ from conesphere.errors import (
     ContinuationStall,
     DomainError,
     NonPositiveTarget,
+    NormalizationError,
     ScopeError,
     SingularLinearization,
     SpectralError,
@@ -202,15 +203,25 @@ def test_continuation_step_control(flagship_bg_small, monkeypatch):
         continuation_solve(bg, K, cfg)
 
 
+def test_continuation_reports_certificate_of_its_solution(flagship_bg_small):
+    # the report of the last Newton step is reused, so after halvings its
+    # certificate must still be that of the returned u
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    u, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9, max_newton_iters=3))
+    assert rep.warnings
+    assert rep.gauss_bonnet_residual == gauss_bonnet(bg, u, cone_tol=np.inf).residual
+
+
 def test_linearize_matches_finite_differences(flagship_bg_small):
     bg = flagship_bg_small
     rng = np.random.default_rng(12)
     u = random_pinned(bg, rng, 0.2)
     h = random_pinned(bg, rng, 0.2)
-    op = linearize(bg, u)
-    exact = op.apply(h)
     free = np.ones(bg.n_vertices, bool)
     free[bg.cone_vertices] = False
+    exact = np.zeros(bg.n_vertices)
+    exact[free] = linearize(bg, u) @ h[free]
     t = 1e-4
     fd = (curvature_map(bg, u + t * h) - curvature_map(bg, u - t * h)) / (2.0 * t)
     rel = np.max(np.abs((fd - exact)[free])) / np.max(np.abs(exact[free]))
@@ -233,22 +244,22 @@ def test_newton_jacobian_matches_finite_differences(flagship_bg_small):
     assert np.max(err[cones]) / np.max(np.abs(exact[cones])) < 1e-6
 
 
-def test_linearized_matrix_consistent_with_apply(flagship_bg_small):
-    bg = flagship_bg_small
-    rng = np.random.default_rng(13)
-    u = random_pinned(bg, rng, 0.1)
-    h = random_pinned(bg, rng)
-    op = linearize(bg, u)
-    full = op.apply(h)
-    assert np.allclose(op.matrix @ h[op.free], full[op.free], atol=1e-12)
-
-
 def test_self_adjointness_scope(flagship_bg_small):
     bg = flagship_bg_small
     rng = np.random.default_rng(14)
     f = random_pinned(bg, rng)
     with pytest.raises(ScopeError):
         self_adjointness_defect(bg, f, f, f)
+
+
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_self_adjointness_rejects_unpinned(flagship_bg_small, which):
+    bg = flagship_bg_small
+    rng = np.random.default_rng(16)
+    args = {"f": random_pinned(bg, rng), "g": random_pinned(bg, rng)}
+    args[which][bg.cone_vertices[0]] = 1.0
+    with pytest.raises(NormalizationError):
+        self_adjointness_defect(bg, np.zeros(bg.n_vertices), args["f"], args["g"])
 
 
 def test_gauss_bonnet_certificate_after_solve(flagship_bg_small):
