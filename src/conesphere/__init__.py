@@ -21,10 +21,8 @@ from .background import (
     delta_beta_apply,
     gauss_bonnet,
     mean_laplacian_zero,
-    weighted_norm,
 )
 from .diagnostics import (
-    conformal_killing_residual,
     exact_football,
     football_divisor,
     kernel_gap,

@@ -26,15 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisor import Divisor, WeightSpec, geodesic_distance, weight_admissible
-from .errors import (
-    BackgroundError,
-    GeometryError,
-    NormalizationError,
-    ScopeError,
-    ShapeError,
-)
-from .mesh import SphereMesh, _unique_edges, spherical_face_areas
+from .divisor import Divisor, geodesic_distance
+from .errors import BackgroundError, GeometryError, NormalizationError, ShapeError
+from .mesh import SphereMesh
 
 _PROFILE_POINTS = 20001
 _TAPER = 0.12  # fraction of the annulus used by each smoothstep ramp
@@ -243,11 +237,13 @@ def build_background(div: Divisor, mesh: SphereMesh, cutoff_radius: float = 1.2)
     # which leaves the cone's own vertex at a distance near 1e-8, not 0
     log_rho[cone] = -np.inf
     rho = np.exp(log_rho)
-    with np.errstate(over="ignore"):
+    # 0 * -inf at a beta = 0 point is NaN, and is overwritten below
+    with np.errstate(over="ignore", invalid="ignore"):
         rho_neg = np.exp(-2.0 * beta_eff * log_rho)  # -> 0 at cones since beta < 0
         rho_pos = np.exp(2.0 * beta_eff * log_rho)
-    rho_neg[cone] = 0.0
-    rho_pos[cone] = 0.0  # quadrature convention: the cone cell mass is dropped
+    # quadrature convention: the cone cell mass is dropped; a beta = 0 point
+    # is no cone, and rho^{+-2 beta} = 1 there
+    rho_neg[cone] = rho_pos[cone] = np.where(beta_eff[cone] == 0.0, 1.0, 0.0)
     k_beta = rho_neg * m_field
     return ConicalBackground(
         divisor=div,
@@ -310,61 +306,3 @@ def mean_laplacian_zero(bg: ConicalBackground, f: np.ndarray) -> float:
     cancel = bg.rho_pow_neg2beta * bg.rho_pow_2beta
     cancel[bg.cone_vertices] = 1.0
     return float(np.sum(bg.mesh.laplace(f) * cancel * bg.mesh.areas))
-
-
-def weighted_norm(bg: ConicalBackground, f: np.ndarray, spec) -> float:
-    """Discrete weighted Hoelder norm: sup of rho^{-gamma+j}|grad^j f| for
-    j <= k plus an adjacent-pair Hoelder seminorm of grad^k f."""
-    if not isinstance(spec, WeightSpec):
-        raise ShapeError("weighted_norm expects a WeightSpec")
-    if spec.order_k > 1:
-        raise ScopeError(f"weighted norms are assembled for order k <= 1, got k = {spec.order_k}")
-    f = bg._check(f)
-    rep = weight_admissible(spec, bg.divisor)
-    if not rep.passed:
-        raise BackgroundError("inadmissible weights for this divisor")
-
-    mesh = bg.mesh
-    keep = np.ones(mesh.n_vertices, dtype=bool)
-    keep[bg.cone_vertices] = False
-
-    gamma_eff = np.zeros(mesh.n_vertices)
-    for g, p, prof in zip(spec.gamma, bg.divisor.points, bg.profiles):
-        gamma_eff[_cone_distance(mesh.vertices, p.position) < prof.radius] = g
-
-    total = float(np.max(bg.rho[keep] ** (-gamma_eff[keep]) * np.abs(f[keep])))
-
-    grad_vert = None
-    if spec.order_k >= 1:
-        g_face = mesh.face_gradients(f)
-        gnorm_face = np.linalg.norm(g_face, axis=1)
-        gmax = np.zeros(mesh.n_vertices)
-        for k in range(3):
-            np.maximum.at(gmax, mesh.faces[:, k], gnorm_face)
-        total = max(
-            total, float(np.max(bg.rho[keep] ** (-gamma_eff[keep] + 1.0) * gmax[keep]))
-        )
-        # area-weighted average of incident face gradients, for the seminorm
-        grad_vert = np.zeros((mesh.n_vertices, 3))
-        wsum = np.zeros(mesh.n_vertices)
-        fa = spherical_face_areas(mesh.vertices, mesh.faces)
-        for k in range(3):
-            np.add.at(grad_vert, mesh.faces[:, k], g_face * fa[:, None])
-            np.add.at(wsum, mesh.faces[:, k], fa)
-        grad_vert /= wsum[:, None]
-
-    # Hoelder seminorm over mesh edges not touching a cone vertex
-    e = _unique_edges(mesh.faces)
-    ok = keep[e[:, 0]] & keep[e[:, 1]]
-    e = e[ok]
-    d = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
-    rho_min = np.minimum(bg.rho[e[:, 0]], bg.rho[e[:, 1]])
-    gam = np.maximum(gamma_eff[e[:, 0]], gamma_eff[e[:, 1]])
-    if spec.order_k == 0:
-        jump = np.abs(f[e[:, 0]] - f[e[:, 1]])
-    else:
-        jump = np.linalg.norm(grad_vert[e[:, 0]] - grad_vert[e[:, 1]], axis=1)
-    semi = rho_min ** (-(gam - spec.order_k)) * jump / d**spec.holder_alpha
-    if len(semi):
-        total += float(np.max(semi))
-    return total

@@ -361,6 +361,7 @@ def cmd_solve(args) -> int:
             "final_residual_sup": report.final_residual_sup,
             "gauss_bonnet_residual": report.gauss_bonnet_residual,
             "newton_iterations_total": report.newton_iterations_total,
+            "chord_steps": report.chord_steps,
         }
     )
     return 0

@@ -2,10 +2,9 @@
 
 Covers the generalized eigenproblem of the conical Laplacian (lowest
 eigenvalues and the lambda >= 2 bound), the smallest singular value of the
-linearized curvature operator (regular-value detection), a discrete Obata
-residual for conformal Killing potentials, and two closed-form geometries:
-the football (sphere quotient with two equal cones) and the double of a
-spherical triangle.
+linearized curvature operator (regular-value detection), and two
+closed-form geometries: the football (sphere quotient with two equal cones)
+and the double of a spherical triangle.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .background import ConicalBackground, curvature_map
+from .background import ConicalBackground
 from .divisor import ConePoint, Divisor
-from .errors import DomainError, GeometryError, ShapeError, SingularLinearization, SpectralError
+from .errors import DomainError, ShapeError, SingularLinearization, SpectralError
 from .mesh import SphereMesh
-from .moebius import stereographic_chart
 from .solver import _factor, _free_nodes, linearize
 
 _EIG_SEED = 20260826
@@ -118,43 +116,6 @@ def kernel_gap(bg: ConicalBackground, u: np.ndarray, tol: float = 1e-10,
             return float(sigma)
         sigma_prev = sigma
     raise SpectralError(f"inverse-power iteration did not settle in {max_iters} steps")
-
-
-def conformal_killing_residual(bg: ConicalBackground, h: np.ndarray) -> float:
-    """Area-averaged trace-free Hessian residual of h, normalized by sup|h|.
-
-    Each vertex gets a quadratic least-squares fit of h over its 2-ring in
-    tangent-plane coordinates; the trace-free part of the fitted Hessian
-    vanishes exactly when Hess(h) = -h g, the equality case of the spectral
-    bound (the gradient of h is then a conformal Killing field).  Returns
-    0 for h identically zero.
-    """
-    h = bg._check_pinned(h, "h")
-    sup = float(np.max(np.abs(h)))
-    if sup == 0.0:
-        return 0.0
-    mesh = bg.mesh
-    verts = mesh.vertices
-    tracefree_sq = np.zeros(mesh.n_vertices)
-    for v in range(mesh.n_vertices):
-        ring = sorted(mesh.ring(v, 2))
-        if len(ring) < 7:
-            raise GeometryError(f"2-ring of vertex {v} too small for a quadratic fit")
-        frame = stereographic_chart(verts[v])
-        rel = verts[ring] - verts[v]
-        xi = rel @ frame.e1
-        eta = rel @ frame.e2
-        basis = np.column_stack(
-            [np.ones_like(xi), xi, eta, 0.5 * xi**2, xi * eta, 0.5 * eta**2]
-        )
-        coef, _, rank, _ = np.linalg.lstsq(basis, h[ring], rcond=None)
-        if rank < 6:
-            raise GeometryError(f"degenerate quadratic fit at vertex {v}")
-        hxx, hxy, hyy = coef[3], coef[4], coef[5]
-        dev = 0.5 * (hxx - hyy)
-        tracefree_sq[v] = 2.0 * (dev**2 + hxy**2)
-    mean_sq = float(np.sum(tracefree_sq * mesh.areas) / np.sum(mesh.areas))
-    return math.sqrt(mean_sq) / sup
 
 
 def football_divisor(k: int) -> Divisor:

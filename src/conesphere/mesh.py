@@ -498,19 +498,6 @@ class SphereMesh:
         e = _unique_edges(self.faces)
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
 
-    def face_gradients(self, f: np.ndarray) -> np.ndarray:
-        """Per-face tangential gradient of a piecewise linear grid function."""
-        a, b, c = (self.vertices[self.faces[:, k]] for k in range(3))
-        fa, fb, fc = (np.asarray(f)[self.faces[:, k]] for k in range(3))
-        n = np.cross(b - a, c - a)
-        nn = np.einsum("ij,ij->i", n, n)
-        # gradient of the linear interpolant on each flat triangle
-        g = (
-            (fb - fa)[:, None] * np.cross(n, a - c)
-            + (fc - fa)[:, None] * np.cross(n, b - a)
-        ) / nn[:, None]
-        return g
-
 
 def build_mesh(
     base_level: int,

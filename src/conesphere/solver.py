@@ -50,6 +50,8 @@ from .errors import (
 
 # line-search halvings of the Newton step before the iteration is given up
 _LINE_SEARCH_HALVINGS = 8
+# the residual cut a full step must reach for its LU to serve the next step
+_CHORD_RATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,13 @@ class SolverConfig:
 
 @dataclass
 class SolverReport:
+    """What a solve did.  newton_iterations_total counts LU factorizations of
+    the Jacobian; chord_steps counts the steps taken with a kept LU."""
+
     converged: bool
     final_residual_sup: float
     newton_iterations_total: int
+    chord_steps: int = 0
     continuation_path: list = field(default_factory=list)  # (t, iterations, residual)
     gauss_bonnet_residual: float = float("nan")
     warnings: list = field(default_factory=list)
@@ -182,51 +188,74 @@ def _factor(A: sp.csc_matrix, order: np.ndarray) -> _OrderedLU:
         raise SingularLinearization(f"sparse factorization failed: {exc}") from exc
 
 
+def _refined_solve(lu: _OrderedLU, J, F):
+    """The Newton correction d with J d = -F, plus one step of iterative
+    refinement: the row scaling e^{-2u}/area spans many orders of magnitude
+    on graded meshes and a raw factorization solve leaves the sup-residual
+    floor too high."""
+    d = lu.solve(-F)
+    d -= lu.solve(J @ d + F)
+    return d
+
+
 def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = SolverConfig()):
-    """Damped Newton for the weighted curvature equation; returns (u, report)."""
+    """Damped Newton for the weighted curvature equation; returns (u, report).
+
+    A step with a fresh LU of the Jacobian goes through the residual line
+    search.  After a full step that cut the sup residual by _CHORD_RATE, the
+    LU is kept for a chord step: a full step, accepted only if it too cuts
+    the residual by _CHORD_RATE; else u stays and the Jacobian is factored
+    afresh.  cfg.max_newton_iters bounds the factorizations, which the
+    report counts as newton_iterations_total."""
     K = _check_target(bg, K_target)
     u = bg._check(np.asarray(u0, dtype=float), "u0").copy()
     G = _product_field(bg, K)
 
     F, lap_u = _residual(bg, u, G)
     res = float(np.max(np.abs(F)))
-    iters = 0
+    iters = chords = 0
+    lu = None  # the kept factorization of J, if any
     while not res <= cfg.newton_tol:  # a NaN residual never converges
+        if lu is not None:
+            trial = u + _refined_solve(lu, J, F)
+            F_t, lap_t = _residual(bg, trial, G)
+            res_t = float(np.max(np.abs(F_t)))
+            if res_t < _CHORD_RATE * res:  # a NaN fails and refactors
+                u, F, lap_u, res = trial, F_t, lap_t, res_t
+                chords += 1
+                continue
+            lu = None  # else it stays alive while the next factorization runs
         if iters >= cfg.max_newton_iters:
             raise NewtonDivergence(
                 f"no convergence in {cfg.max_newton_iters} iterations (residual {res:.3e})"
             )
         J = _jacobian(bg, u, lap_u)
         lu = _factor(J, bg.mesh.ordering())
-        d = lu.solve(-F)
-        # one step of iterative refinement: the row scaling e^{-2u}/area
-        # spans many orders of magnitude on graded meshes and a raw
-        # factorization solve leaves the sup-residual floor too high
-        d -= lu.solve(J @ d + F)
-        del lu  # else it stays alive while the next iteration factorizes
+        d = _refined_solve(lu, J, F)
         lin_res = float(np.max(np.abs(J @ d + F)))
         if not np.all(np.isfinite(d)) or lin_res > cfg.linear_tol * max(1.0, res) * 1e3:
             raise SingularLinearization(
                 f"inner linear solve residual {lin_res:.3e} exceeds tolerance"
             )
         step = 1.0
-        accepted = False
         for _ in range(_LINE_SEARCH_HALVINGS + 1):
             trial = u + step * d
             F_t, lap_t = _residual(bg, trial, G)
             res_t = float(np.max(np.abs(F_t)))
             if res_t < res:
-                u, F, lap_u, res = trial, F_t, lap_t, res_t
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise NewtonDivergence(f"line search stalled at residual {res:.3e}")
+        if not (step == 1.0 and res_t < _CHORD_RATE * res):
+            lu = None
+        u, F, lap_u, res = trial, F_t, lap_t, res_t
         iters += 1
     report = SolverReport(
         converged=True,
         final_residual_sup=res,
         newton_iterations_total=iters,
+        chord_steps=chords,
         gauss_bonnet_residual=gauss_bonnet(bg, u, cone_tol=np.inf).residual,
     )
     return u, report
@@ -261,7 +290,7 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
     smallest = math.ldexp(dt, -cfg.max_step_halvings)  # 2**n overflows for a huge n
     path = []
     warnings = []
-    total_iters = 0
+    total_iters = total_chords = 0
     while t < 1.0:
         t_next = min(1.0, t + dt)
         try:
@@ -276,10 +305,12 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
             continue
         u, t = u_next, t_next
         total_iters += rep.newton_iterations_total
+        total_chords += rep.chord_steps
         path.append((t, rep.newton_iterations_total, rep.final_residual_sup))
     # the loop ends on an accepted step, whose report already certifies u
     return u, replace(
-        rep, newton_iterations_total=total_iters, continuation_path=path, warnings=warnings
+        rep, newton_iterations_total=total_iters, chord_steps=total_chords,
+        continuation_path=path, warnings=warnings,
     )
 
 

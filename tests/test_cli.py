@@ -329,6 +329,18 @@ def test_solve_manufactured_target(tmp_path):
     assert rep["manufactured_error"] < 1e-8
 
 
+def test_solve_reports_chord_steps(tmp_path, capsys):
+    cfg = flagship_config(target={"type": "manufactured", "north": 1.0, "south": 0.5},
+                          outputs={"fields": False})
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    rep = read_report(tmp_path, "solve.json")["report"]["solver"]
+    assert rep["chord_steps"] >= 1
+    printed = capsys.readouterr().out.splitlines()
+    assert f"newton_iterations_total: {rep['newton_iterations_total']}" in printed
+    assert f"chord_steps: {rep['chord_steps']}" in printed
+
+
 def test_solve_grid_target(tmp_path):
     # round-trip: the mesh in the config is deterministic, so a grid written
     # against it is accepted and solved

@@ -1,4 +1,4 @@
-"""Spectra, kernel gaps, Killing residuals, and the exact geometries."""
+"""Spectra, kernel gaps, and the exact geometries."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from conesphere.background import build_background
 from conesphere.diagnostics import (
-    conformal_killing_residual,
     exact_football,
     football_divisor,
     kernel_gap,
@@ -15,7 +14,7 @@ from conesphere.diagnostics import (
     triangle_double_divisor,
 )
 from conesphere.divisor import geodesic_distance
-from conesphere.errors import DomainError, NormalizationError, ShapeError
+from conesphere.errors import DomainError, ShapeError
 from conesphere.mesh import build_mesh
 
 
@@ -58,24 +57,6 @@ def test_kernel_gap_detects_round_kernel(round_bg4):
     # continuum; its discrete gap is already small at desk scale
     g4 = kernel_gap(round_bg4, np.zeros(round_bg4.n_vertices))
     assert g4 < 0.01
-
-
-def test_conformal_killing_residual_obata(round_bg4):
-    bg = round_bg4
-    lin = bg.mesh.vertices @ np.array([0.3, -0.2, 0.9])
-    quad = bg.mesh.vertices[:, 2] ** 2 - 1.0 / 3.0
-    res1 = conformal_killing_residual(bg, lin)
-    res2 = conformal_killing_residual(bg, quad)
-    # linear harmonics are Killing potentials (Obata equality), quadratics not
-    assert res1 < 1e-3
-    assert res2 / max(res1, 1e-300) > 100.0
-
-
-def test_conformal_killing_residual_checks(flagship_bg_small):
-    bg = flagship_bg_small
-    with pytest.raises(NormalizationError):
-        conformal_killing_residual(bg, np.ones(bg.n_vertices))
-    assert conformal_killing_residual(bg, np.zeros(bg.n_vertices)) == 0.0
 
 
 def test_football_divisor():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -71,6 +72,106 @@ def test_manufactured_solution(flagship_bg_small):
     assert np.max(np.abs(u - v)) <= 1e-10
     # background-type target: the solved apex values vanish
     assert np.max(np.abs(u[bg.cone_vertices])) <= 1e-8
+
+
+def _count_factorizations(monkeypatch):
+    """Wrap solver._factor; the returned list holds a weak reference to each
+    LU made, and every call first checks that no earlier LU is alive."""
+    made = []
+    factor = solver._factor
+
+    def counting(A, order):
+        assert all(ref() is None for ref in made), "an earlier LU is alive"
+        lu = factor(A, order)
+        made.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(solver, "_factor", counting)
+    return made
+
+
+def test_converging_steps_reuse_the_lu(flagship_bg_small, monkeypatch):
+    bg = flagship_bg_small
+    v = pinned_test_factor(bg, north=1.0, south=0.4)
+    K = curvature_map(bg, v)
+    made = _count_factorizations(monkeypatch)
+    u, rep = newton_solve(bg, K, np.zeros(bg.n_vertices))
+    assert len(made) == rep.newton_iterations_total == 1
+    assert rep.chord_steps >= 1
+    assert np.max(np.abs(u - v)) <= 1e-10
+    # the same solve refactoring at every step
+    monkeypatch.setattr(solver, "_CHORD_RATE", 0.0)
+    u_fresh, rep_fresh = newton_solve(bg, K, np.zeros(bg.n_vertices))
+    assert rep_fresh.chord_steps == 0 and len(made) == 1 + rep_fresh.newton_iterations_total
+    assert np.max(np.abs(u - u_fresh)) <= 1e-10
+
+
+def test_linear_target_factorizations(flagship_bg_small, monkeypatch):
+    # test_continuation_on_linear_target's case: refactoring at every step
+    # takes all 25 allowed factorizations; no two LUs are ever alive
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    made = _count_factorizations(monkeypatch)
+    u, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
+    assert rep.final_residual_sup <= 1e-9
+    assert len(made) == rep.newton_iterations_total <= 23
+    assert rep.chord_steps >= 1
+    monkeypatch.setattr(solver, "_CHORD_RATE", 0.0)
+    u_fresh, _ = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
+    assert np.max(np.abs(u - u_fresh)) <= 1e-10
+
+
+def test_counts_are_summed_over_the_path(flagship_bg_small, monkeypatch):
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    steps = []
+    newton = solver.newton_solve
+
+    def spy(*args):
+        u, rep = newton(*args)
+        steps.append(rep)  # a failed step raises and is not recorded
+        return u, rep
+
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    _, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9, max_newton_iters=3))
+    assert len(steps) == len(rep.continuation_path) > 1
+    assert rep.newton_iterations_total == sum(s.newton_iterations_total for s in steps)
+    assert rep.chord_steps == sum(s.chord_steps for s in steps) > steps[-1].chord_steps
+
+
+def test_failed_chord_step_refactors_at_same_u(flagship_bg_small, monkeypatch):
+    bg = flagship_bg_small
+    v = pinned_test_factor(bg, north=1.0, south=0.4)
+    K = curvature_map(bg, v)
+    made = _count_factorizations(monkeypatch)
+    residual_at, jacobian_at, solves = [], [], []
+    residual, jacobian, refined = solver._residual, solver._jacobian, solver._refined_solve
+
+    def spy_residual(bg, u, G):
+        residual_at.append(u)
+        return residual(bg, u, G)
+
+    def spy_jacobian(bg, u, lap_u):
+        jacobian_at.append(u)
+        return jacobian(bg, u, lap_u)
+
+    def spy_solve(lu, J, F):
+        solves.append((len(made), len(residual_at)))
+        d = refined(lu, J, F)
+        # halve the first chord step: it then cuts the residual only twofold
+        return 0.5 * d if len(solves) == 2 else d
+
+    monkeypatch.setattr(solver, "_residual", spy_residual)
+    monkeypatch.setattr(solver, "_jacobian", spy_jacobian)
+    monkeypatch.setattr(solver, "_refined_solve", spy_solve)
+    u, rep = newton_solve(bg, K, np.zeros(bg.n_vertices))
+    assert np.max(np.abs(u - v)) <= 1e-10
+    # a fresh step, the halved chord step with its LU, then a fresh LU
+    assert [s[0] for s in solves[:3]] == [1, 1, 2]
+    # ... at the u the chord step started from: its trial was not accepted
+    start = residual_at[solves[1][1] - 1]
+    assert np.array_equal(jacobian_at[1], start)
+    assert not np.array_equal(residual_at[solves[1][1]], start)
 
 
 def test_pinned_test_factor_properties(flagship_bg_small):
