@@ -52,7 +52,6 @@ from .moebius import (
     StereoChart,
     conformal_distortion,
     enumerate_conformal_symmetries,
-    identity_map,
     moebius_from_triples,
     stereographic_chart,
 )

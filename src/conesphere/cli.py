@@ -255,7 +255,6 @@ def _read_grid(path, mesh):
 
 def _write_report(out_dir, name, payload):
     """Write payload and a timestamp to out_dir/name, dataclasses as objects."""
-    os.makedirs(out_dir, exist_ok=True)
     doc = {
         "report": payload,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -345,14 +344,12 @@ def cmd_solve(args) -> int:
     if manufactured is not None:
         payload["manufactured_error"] = float(np.max(np.abs(u - manufactured)))
     if job.config["outputs"]["fields"]:
-        os.makedirs(args.out, exist_ok=True)
         achieved = curvature_map(bg, u, cone_tol=np.inf)
         write_csv(os.path.join(args.out, "u.csv"), mesh, u)
         write_csv(os.path.join(args.out, "k_achieved.csv"), mesh, achieved)
         write_csv(os.path.join(args.out, "rho.csv"), mesh, bg.rho)
         write_csv(os.path.join(args.out, "k_beta.csv"), mesh, bg.k_beta)
     if job.config["outputs"]["mesh_off"]:
-        os.makedirs(args.out, exist_ok=True)
         write_off(os.path.join(args.out, "mesh.off"), mesh)
     _write_report(args.out, "solve.json", payload)
     _print_lines(
@@ -503,8 +500,8 @@ def cmd_example(args) -> int:
             raise ConfigError(f"football example needs integer k >= 2, got {k}")
         return _football_example(k, args.out)
     if args.name == "triangle":
-        if args.angles is None:
-            raise ConfigError("triangle example needs --angles A B C (radians)")
+        if args.angles is None or not all(map(math.isfinite, args.angles)):
+            raise ConfigError("triangle example needs --angles A B C (finite, in radians)")
         return _triangle_example(args.angles, args.out)
     raise ConfigError(f"unknown example '{args.name}' (expected 'football' or 'triangle')")
 
@@ -560,6 +557,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -23,6 +23,9 @@ from .mesh import SphereMesh
 from .solver import _factor, _free_nodes, linearize
 
 _EIG_SEED = 20260826
+# kernel_gap's estimate settles to a relative _GAP_TOL in _GAP_MAX_ITERS steps
+_GAP_TOL = 1e-10
+_GAP_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ def _free_order(bg: ConicalBackground) -> np.ndarray:
     return order[order >= 0]
 
 
-def kernel_gap(bg: ConicalBackground, u: np.ndarray, tol: float = 1e-10,
-               max_iters: int = 500) -> float:
+def kernel_gap(bg: ConicalBackground, u: np.ndarray) -> float:
     """Smallest singular value of the linearized curvature operator at u.
 
     Inverse-power iteration on the normal operator A^T A through one sparse
@@ -105,17 +107,17 @@ def kernel_gap(bg: ConicalBackground, u: np.ndarray, tol: float = 1e-10,
     x = rng.standard_normal(A.shape[0])
     x /= np.linalg.norm(x)
     sigma_prev = np.inf
-    for _ in range(max_iters):
+    for _ in range(_GAP_MAX_ITERS):
         y = lu.solve(lu.solve(x, trans="T"))
         norm = np.linalg.norm(y)
         if not np.isfinite(norm) or norm == 0.0:
             raise SpectralError("inverse-power iteration broke down")
         sigma = 1.0 / math.sqrt(norm)
         x = y / norm
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+        if abs(sigma - sigma_prev) <= _GAP_TOL * max(sigma, 1e-300):
             return float(sigma)
         sigma_prev = sigma
-    raise SpectralError(f"inverse-power iteration did not settle in {max_iters} steps")
+    raise SpectralError(f"inverse-power iteration did not settle in {_GAP_MAX_ITERS} steps")
 
 
 def football_divisor(k: int) -> Divisor:

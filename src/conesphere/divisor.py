@@ -51,10 +51,6 @@ class ConePoint:
         pos.flags.writeable = False
         object.__setattr__(self, "position", pos)
 
-    @property
-    def angle(self) -> float:
-        return cone_angle(self.beta)
-
 
 @dataclass(frozen=True)
 class Divisor:

@@ -488,12 +488,6 @@ class SphereMesh:
     def ring(self, center: int, depth: int = 2):
         return _rings(self.adjacency(), center, depth)
 
-    def min_incident_edge(self, vertex: int) -> float:
-        nbrs = self.adjacency()[vertex]
-        if not nbrs:
-            raise MeshError(f"vertex {vertex} has no neighbors")
-        return min(float(np.linalg.norm(self.vertices[vertex] - self.vertices[u])) for u in nbrs)
-
     def edge_lengths(self) -> np.ndarray:
         e = _unique_edges(self.faces)
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)

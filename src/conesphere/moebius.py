@@ -194,11 +194,6 @@ def _chart_transition(pole_from: bytes, pole_to: bytes):
     return trans
 
 
-def identity_map(pole=(0.0, 0.0, 1.0)) -> MoebiusMap:
-    pole = np.asarray(pole, dtype=float)
-    return MoebiusMap(1.0 + 0j, 0j, 0j, 1.0 + 0j, pole / np.linalg.norm(pole))
-
-
 def _pick_pole(points):
     """Signed coordinate axis farthest (chordally) from every listed point."""
     candidates = np.vstack([np.eye(3), -np.eye(3)])

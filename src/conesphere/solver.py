@@ -29,9 +29,7 @@ grading 5.
 
 from __future__ import annotations
 
-import math
-import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,22 +50,21 @@ from .errors import (
 _LINE_SEARCH_HALVINGS = 8
 # the residual cut a full step must reach for its LU to serve the next step
 _CHORD_RATE = 0.1
+# Jacobian factorizations one Newton solve may make
+_MAX_FACTORIZATIONS = 25
+# continuation step halvings before the path is given up
+_CONTINUATION_HALVINGS = 10
+# an inner linear residual above 1e3 * _LINEAR_TOL * max(1, sup|F|) is singular
+_LINEAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10
-    max_newton_iters: int = 25
-    max_step_halvings: int = 10
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
-        for f in fields(self):
-            # the comparison is exact for ints too, so a huge int cannot overflow
-            if not 0 < getattr(self, f.name) <= sys.float_info.max:
-                raise DomainError(f"solver config field {f.name} must be positive and finite")
-        if self.newton_tol >= 1.0:
-            raise DomainError("newton_tol must be below 1")
+        if not 0 < self.newton_tol < 1:  # a NaN fails too
+            raise DomainError(f"newton_tol must lie in (0, 1), got {self.newton_tol}")
 
 
 @dataclass
@@ -205,8 +202,9 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
     search.  After a full step that cut the sup residual by _CHORD_RATE, the
     LU is kept for a chord step: a full step, accepted only if it too cuts
     the residual by _CHORD_RATE; else u stays and the Jacobian is factored
-    afresh.  cfg.max_newton_iters bounds the factorizations, which the
-    report counts as newton_iterations_total."""
+    afresh.  Newton stops once sup|F| <= cfg.newton_tol; it makes at most
+    _MAX_FACTORIZATIONS factorizations, which the report counts as
+    newton_iterations_total."""
     K = _check_target(bg, K_target)
     u = bg._check(np.asarray(u0, dtype=float), "u0").copy()
     G = _product_field(bg, K)
@@ -225,15 +223,15 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
                 chords += 1
                 continue
             lu = None  # else it stays alive while the next factorization runs
-        if iters >= cfg.max_newton_iters:
+        if iters >= _MAX_FACTORIZATIONS:
             raise NewtonDivergence(
-                f"no convergence in {cfg.max_newton_iters} iterations (residual {res:.3e})"
+                f"no convergence in {_MAX_FACTORIZATIONS} iterations (residual {res:.3e})"
             )
         J = _jacobian(bg, u, lap_u)
         lu = _factor(J, bg.mesh.ordering())
         d = _refined_solve(lu, J, F)
         lin_res = float(np.max(np.abs(J @ d + F)))
-        if not np.all(np.isfinite(d)) or lin_res > cfg.linear_tol * max(1.0, res) * 1e3:
+        if not np.all(np.isfinite(d)) or lin_res > _LINEAR_TOL * max(1.0, res) * 1e3:
             raise SingularLinearization(
                 f"inner linear solve residual {lin_res:.3e} exceeds tolerance"
             )
@@ -263,13 +261,15 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
 
 def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = SolverConfig()):
     """March from the known root (u, K) = (0, K_beta) to K_target along the
-    log-linear curvature path, warm-starting Newton at each step.
+    log-linear curvature path, warm-starting Newton (to cfg.newton_tol) at
+    each step.
 
     Step rule: the first step is the whole path, t = 0 to 1.  A step whose
     Newton solve fails (NewtonDivergence or SingularLinearization) is halved
     and retried, and the halved step is kept for the rest of the path.
     ContinuationStall is raised once the step would fall below
-    2**-cfg.max_step_halvings, or would no longer move t."""
+    2**-_CONTINUATION_HALVINGS.  Every accepted t is then a multiple of that
+    floor, so a step of at least the floor always moves t."""
     K = _check_target(bg, K_target)
     scope = solver_scope_check(bg.divisor)
     if not scope.passed:
@@ -287,7 +287,6 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
     u = np.zeros(bg.n_vertices)
     t = 0.0
     dt = 1.0
-    smallest = math.ldexp(dt, -cfg.max_step_halvings)  # 2**n overflows for a huge n
     path = []
     warnings = []
     total_iters = total_chords = 0
@@ -297,7 +296,7 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
             u_next, rep = newton_solve(bg, K_at(t_next), u, cfg)
         except (NewtonDivergence, SingularLinearization) as exc:
             dt *= 0.5
-            if dt < smallest or t + dt == t:
+            if dt < 0.5**_CONTINUATION_HALVINGS:
                 raise ContinuationStall(
                     f"continuation step underflow at t = {t:.4f}: {exc}"
                 ) from exc

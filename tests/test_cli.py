@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conesphere.cli
 from conesphere.cli import main
 from conesphere.mesh import build_mesh, write_csv
 from conesphere.divisor import WeightSpec, flagship_divisor, weight_admissible
@@ -90,8 +91,9 @@ def test_unknown_keys_exit_2(tmp_path):
     cfg = flagship_config()
     cfg["divisor"][0]["position"] = {"lat": 0.0, "lon": 0.0, "oops": 1}
     assert main(["check", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
-    # the two settings that were removed are unknown keys now
-    for solver in ({"damping": 8}, {"continuation_steps": 1}):
+    # the settings that were removed are unknown keys now
+    for solver in ({"damping": 8}, {"continuation_steps": 1}, {"max_newton_iters": 25},
+                   {"max_step_halvings": 10}, {"linear_tol": 1e-12}):
         path = write_config(tmp_path, flagship_config(solver=solver))
         assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
 
@@ -105,9 +107,8 @@ def test_bad_position_exits_2(tmp_path):
 
 def test_non_finite_solver_setting_exits_2(tmp_path):
     # a NaN tolerance used to report convergence after 0 Newton iterations
-    for key in ("newton_tol", "linear_tol"):
-        path = write_config(tmp_path, flagship_config(solver={key: math.nan}))
-        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    path = write_config(tmp_path, flagship_config(solver={"newton_tol": math.nan}))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
 
 
 BAD_SETTINGS = {
@@ -146,18 +147,13 @@ NOT_POSITIVE_FINITE = st.one_of(
     st.text(max_size=4),
 )
 POSITIVE_INTS = st.integers(min_value=1, max_value=2**64)
-COUNT = _tagged(POSITIVE_INTS, st.one_of(NOT_POSITIVE_FINITE, st.floats(min_value=0.5)))
-SOLVER_VALUES = {
-    f.name: COUNT if isinstance(f.default, int) else _tagged(
-        st.one_of(st.floats(min_value=5e-324, allow_infinity=False), POSITIVE_INTS),
-        NOT_POSITIVE_FINITE,
+SOLVER_VALUES = {  # each setting is a tolerance below 1
+    f.name: _tagged(
+        st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+        st.one_of(NOT_POSITIVE_FINITE, st.floats(min_value=1.0), POSITIVE_INTS),
     )
     for f in dataclasses.fields(SolverConfig)
 }
-SOLVER_VALUES["newton_tol"] = _tagged(  # a tolerance below 1
-    st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
-    st.one_of(NOT_POSITIVE_FINITE, st.floats(min_value=1.0), POSITIVE_INTS),
-)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -300,14 +296,6 @@ def test_solve_reports_cone_rings(tmp_path, grading):
         assert "warnings" not in rep
 
 
-def test_solve_huge_max_step_halvings(tmp_path):
-    # the smallest step used to be dt / 2**max_step_halvings: OverflowError
-    cfg = flagship_config(mesh={"base_level": 2}, solver={"max_step_halvings": 2000},
-                          outputs={"fields": False})
-    path = write_config(tmp_path, cfg)
-    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
-
-
 @pytest.mark.parametrize("a, b", [
     (1.0, 2.0),  # negative where x < -1/2
     (1.5e308, 0.4e308),  # overflows to +inf where x > 0.74
@@ -437,6 +425,10 @@ def test_example_triangle(tmp_path):
     rep = read_report(tmp_path, "example.json")["report"]
     assert rep["symmetry_group_order"] == 6
     assert rep["euler_characteristic"] > 0.0
+    # a non-finite angle exits 2, as a NaN or inf anywhere in a job does
+    for bad in ("nan", "inf"):
+        args[4] = bad
+        assert main(args) == 2
 
 
 def test_example_football(tmp_path):
@@ -452,6 +444,21 @@ def test_readme_job_config_checks(tmp_path):
     block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     path = write_config(tmp_path, json.loads(block))
     assert main(["check", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unusable_out_exits_2(tmp_path, monkeypatch, under):
+    # a regular file as --out, or a path under one, used to end in a
+    # traceback, and solve only failed after the whole solve had run
+    monkeypatch.setattr(conesphere.cli, "continuation_solve", None)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out" if under else blocker)
+    path = write_config(tmp_path, flagship_config(outputs={"fields": True}))
+    assert main(["check", "--config", path, "--out", out]) == 2
+    assert main(["solve", "--config", path, "--out", out]) == 2
+    assert main(["example", "--name", "football", "--out", out]) == 2
+    assert blocker.read_text() == ""
 
 
 def test_example_unknown_name(tmp_path):

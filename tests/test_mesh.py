@@ -130,8 +130,13 @@ def test_grading_refines_near_cones():
     coarse = build_mesh(3, div)
     fine = build_mesh(3, div, grading=3)
     assert fine.n_vertices > coarse.n_vertices
+
+    def min_incident_edge(mesh, vertex):
+        ring = list(mesh.adjacency()[vertex])
+        return float(np.min(np.linalg.norm(mesh.vertices[ring] - mesh.vertices[vertex], axis=1)))
+
     c0 = fine.cone_vertices[0]
-    assert fine.min_incident_edge(c0) < 0.3 * coarse.min_incident_edge(coarse.cone_vertices[0])
+    assert min_incident_edge(fine, c0) < 0.3 * min_incident_edge(coarse, coarse.cone_vertices[0])
     # refinement stays local: far hemisphere untouched to first order
     assert fine.n_vertices < 4 * coarse.n_vertices
 

@@ -17,7 +17,6 @@ from conesphere.moebius import (
     _unproject_hom,
     conformal_distortion,
     enumerate_conformal_symmetries,
-    identity_map,
     moebius_from_triples,
     stereographic_chart,
 )
@@ -47,13 +46,6 @@ def test_stereographic_chart_geometry():
     pts = np.vstack([sample_points(), q])
     back = _unproject_hom(chart, *_project_hom(chart, pts))
     assert np.max(np.linalg.norm(back - pts, axis=1)) < 1e-12
-
-
-def test_identity_map():
-    pts = sample_points()
-    phi = identity_map()
-    assert np.max(np.linalg.norm(phi.apply(pts) - pts, axis=1)) < 1e-14
-    assert np.allclose(conformal_distortion(phi, pts), 1.0, atol=1e-12)
 
 
 def test_from_triples_maps_the_triple():
