@@ -49,11 +49,9 @@ from .errors import (
 from .mesh import SphereMesh, build_mesh, icosphere, write_csv, write_off
 from .moebius import (
     MoebiusMap,
-    StereoChart,
     conformal_distortion,
     enumerate_conformal_symmetries,
     moebius_from_triples,
-    stereographic_chart,
 )
 from .solver import (
     SolverConfig,

@@ -369,6 +369,9 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
     job = Job(args.config)
     _, bg = job.build_geometry()
+    n = bg.n_vertices
+    if args.count >= n - 1:
+        raise ConfigError(f"--count must be below {n - 1} (the mesh has {n} nodes), got {args.count}")
     result = spectrum(bg, args.count, weighted=True)
     payload = {
         "config": job.resolved(),
@@ -385,15 +388,10 @@ def cmd_spectrum(args) -> int:
 def cmd_symmetries(args) -> int:
     job = Job(args.config)
     maps = enumerate_conformal_symmetries(job.divisor)
-    entries = []
-    for phi in maps:
-        mat = phi.matrix
-        entries.append(
-            {
-                "coefficients": [[float(c.real), float(c.imag)] for c in mat.ravel()],
-                "pole": [float(c) for c in phi.pole],
-            }
-        )
+    entries = [
+        {"coefficients": [[float(c.real), float(c.imag)] for c in phi.matrix.ravel()]}
+        for phi in maps
+    ]
     payload = {"config": job.resolved(), "group_order": len(maps), "maps": entries}
     _write_report(args.out, "symmetries.json", payload)
     print(f"group_order: {len(maps)}")

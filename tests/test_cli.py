@@ -373,6 +373,18 @@ def test_spectrum_count_below_one_exits_2(tmp_path, monkeypatch, count):
     assert main(["spectrum", "--config", path, "--out", str(tmp_path), "--count", count]) == 2
 
 
+@pytest.mark.parametrize("count", ["41", "100"])
+def test_spectrum_count_at_node_count_exits_2(tmp_path, monkeypatch, capsys, count):
+    # a base-1 flagship mesh has 42 nodes: the count is checked once it is built
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("the count is checked before the eigensolver runs")
+
+    monkeypatch.setattr("conesphere.cli.spectrum", no_eigensolve)
+    path = write_config(tmp_path, flagship_config(mesh={"base_level": 1, "grading_levels": 0}))
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path), "--count", count]) == 2
+    assert "--count must be below 41 (the mesh has 42 nodes)" in capsys.readouterr().err
+
+
 def test_spectrum_command(tmp_path):
     path = write_config(tmp_path, flagship_config())
     assert main(["spectrum", "--config", path, "--out", str(tmp_path), "--count", "3"]) == 0
@@ -386,15 +398,27 @@ def test_symmetries_command(tmp_path):
     assert main(["symmetries", "--config", path, "--out", str(tmp_path)]) == 0
     assert read_report(tmp_path, "symmetries.json")["report"]["group_order"] == 1
 
-    equal = {
-        "divisor": [
-            {"position": {"lat": 0.0, "lon": float(lon)}, "beta": -0.5}
-            for lon in (0, 120, 240)
-        ]
-    }
-    path = write_config(tmp_path, equal, "equal.json")
+
+def test_symmetries_report_coefficients(tmp_path):
+    # each entry is the SL(2, C) matrix (a, b, c, d) of z -> (az + b)/(cz + d),
+    # z/w = (x + iy)/(1 - x3) the stereographic projection from the north pole
+    lons = (0.0, 120.0, 240.0)
+    equal = {"divisor": [{"position": {"lat": 0.0, "lon": lon}, "beta": -0.5} for lon in lons]}
+    path = write_config(tmp_path, equal)
     assert main(["symmetries", "--config", path, "--out", str(tmp_path)]) == 0
-    assert read_report(tmp_path, "symmetries.json")["report"]["group_order"] == 6
+    rep = read_report(tmp_path, "symmetries.json")["report"]
+    assert rep["group_order"] == 6
+    positions = np.array([[math.cos(math.radians(lon)), math.sin(math.radians(lon)), 0.0] for lon in lons])
+    z = (positions[:, 0] + 1j * positions[:, 1]) / (1.0 - positions[:, 2])
+    for entry in rep["maps"]:
+        assert set(entry) == {"coefficients"}
+        a, b, c, d = (complex(re, im) for re, im in entry["coefficients"])
+        zeta = (a * z + b) / (c * z + d)
+        s = abs(zeta) ** 2
+        images = np.column_stack([2.0 * zeta.real, 2.0 * zeta.imag, s - 1.0]) / (s + 1.0)[:, None]
+        dist = np.linalg.norm(images[:, None] - positions, axis=2)
+        assert np.all(dist.min(axis=1) < 1e-9)
+        assert sorted(dist.argmin(axis=1).tolist()) == [0, 1, 2]
 
 
 def test_symmetries_near_coincident_points_exit_1(tmp_path, capsys):
