@@ -12,8 +12,8 @@ from conesphere.background import (
     gauss_bonnet,
     mean_laplacian_zero,
 )
-from conesphere.divisor import ConePoint, Divisor, equatorial_divisor
-from conesphere.errors import GeometryError, NormalizationError
+from conesphere.divisor import ConePoint, Divisor, equatorial_divisor, flagship_divisor
+from conesphere.errors import GeometryError, NormalizationError, ShapeError
 from conesphere.mesh import build_mesh
 
 from conftest import random_pinned
@@ -48,6 +48,19 @@ def test_overlapping_cones_rejected():
     mesh = build_mesh(4, tight)
     with pytest.raises(GeometryError):
         build_background(tight, mesh)
+
+
+def test_mesh_of_another_divisor_rejected():
+    div = flagship_divisor()
+    other = equatorial_divisor([-0.3, -0.4, -0.5])  # same count, other positions
+    with pytest.raises(ShapeError, match="do not coincide"):
+        build_background(div, build_mesh(3, other))
+
+
+def test_mesh_with_other_cone_count_rejected():
+    div = flagship_divisor()
+    with pytest.raises(ShapeError, match="cone vertex count"):
+        build_background(div, build_mesh(3, equatorial_divisor([-0.3, -0.4])))
 
 
 def test_gauss_bonnet_at_background(flagship_bg_small):

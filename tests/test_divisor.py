@@ -50,6 +50,11 @@ def test_cone_point_rejects_nan_position():
         ConePoint(np.array([math.nan, 0.0, 0.0]), -0.5)
 
 
+def test_divisor_rejects_equal_positions():
+    with pytest.raises(DomainError, match="cone points 0 and 2 coincide"):
+        divisor([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]], [-0.3, -0.4, -0.5])
+
+
 def test_divisor_length_mismatch():
     with pytest.raises(ShapeError):
         divisor([[1.0, 0.0, 0.0]], [-0.5, -0.4])
