@@ -107,13 +107,6 @@ def _build_profile(radius: float, beta: float) -> _ConeProfile:
     )
 
 
-def _cone_distance(points, position):
-    """Great-circle distance from each row of `points` to the unit vector
-    `position` (atan2 form, stable near 0 and pi)."""
-    dot = np.clip(points @ position, -1.0, 1.0)
-    return np.arctan2(np.sqrt(1.0 - dot * dot), dot)
-
-
 def _needed_radius(beta: float) -> float:
     """Smallest annulus radius giving curvature margin _TARGET_MARGIN."""
     need = abs(beta) / (1.0 - _TARGET_MARGIN)
@@ -138,17 +131,14 @@ def _needed_radius(beta: float) -> float:
 def _allocate_radii(div: Divisor, cutoff_radius: float) -> np.ndarray:
     """Per-cone radii: as large as the targets ask, capped by the cutoff and
     by a proportional split of each pairwise geodesic distance."""
-    n = len(div)
     needed = np.array([_needed_radius(p.beta) for p in div])
     target = np.minimum(needed * 1.05, cutoff_radius)
-    radii = target.copy()
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = geodesic_distance(div.points[i].position, div.points[j].position)
-            if target[i] + target[j] > d:
-                radii[i] = min(radii[i], d * target[i] / (target[i] + target[j]))
-                radii[j] = min(radii[j], d * target[j] / (target[i] + target[j]))
-    for i in range(n):
+    d = div.distances
+    pair = target[:, None] + target
+    share = np.where(pair > d, d * target[:, None] / pair, np.inf)
+    np.fill_diagonal(share, np.inf)
+    radii = np.minimum(target, share.min(axis=1))
+    for i in range(len(div)):
         if radii[i] > cutoff_radius + 1e-12:
             raise GeometryError("allocated cone neighborhood exceeds the cutoff radius")
         if radii[i] < needed[i] * (1.0 - 1e-9):
@@ -204,7 +194,7 @@ def build_background(div: Divisor, mesh: SphereMesh, cutoff_radius: float = 1.2)
     background curvature stays positive; GeometryError if the disjointness of
     the neighborhoods cannot be maintained at the needed sizes.
     """
-    if cutoff_radius <= 0.0:
+    if not cutoff_radius > 0.0:  # NaN fails too
         raise GeometryError(f"cutoff radius must be positive, got {cutoff_radius}")
     n = mesh.n_vertices
     log_rho = np.zeros(n)
@@ -214,13 +204,12 @@ def build_background(div: Divisor, mesh: SphereMesh, cutoff_radius: float = 1.2)
     if len(div):
         if len(mesh.cone_vertices) != len(div):
             raise ShapeError("mesh was not built from this divisor (cone vertex count differs)")
-        for cv, p in zip(mesh.cone_vertices, div.points):
-            if geodesic_distance(mesh.vertices[cv], p.position) > 1e-12:
-                raise ShapeError("mesh cone vertices do not coincide with the divisor points")
+        if np.any(geodesic_distance(mesh.vertices[mesh.cone_vertices], div.positions) > 1e-12):
+            raise ShapeError("mesh cone vertices do not coincide with the divisor points")
         radii = _allocate_radii(div, cutoff_radius)
         profiles = tuple(_build_profile(r, p.beta) for r, p in zip(radii, div.points))
         for prof, p in zip(profiles, div.points):
-            d = _cone_distance(mesh.vertices, p.position)
+            d = geodesic_distance(mesh.vertices, p.position)
             inside = d < prof.radius
             log_rho[inside] += prof.log_rho(d[inside])
             lap[inside] += prof.laplacian_log_rho(d[inside])
@@ -233,8 +222,8 @@ def build_background(div: Divisor, mesh: SphereMesh, cutoff_radius: float = 1.2)
         raise BackgroundError("background curvature factor 1 - beta*Lap(log rho) is nonpositive")
 
     cone = mesh.cone_vertices
-    # the product of the mesh rows with a cone position can round below 1,
-    # which leaves the cone's own vertex at a distance near 1e-8, not 0
+    # a mesh passes the check above with its cone vertex up to 1e-12 off
+    # the point, at a finite log rho
     log_rho[cone] = -np.inf
     rho = np.exp(log_rho)
     # 0 * -inf at a beta = 0 point is NaN, and is overwritten below

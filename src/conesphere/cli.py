@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .background import _cone_distance, build_background, curvature_map, gauss_bonnet
+from .background import build_background, curvature_map, gauss_bonnet
 from .diagnostics import (
     exact_football,
     football_divisor,
@@ -35,6 +35,7 @@ from .divisor import (
     WeightSpec,
     divisor,
     euler_characteristic,
+    geodesic_distance,
     solver_scope_check,
     troyanov_check,
     weight_admissible,
@@ -303,10 +304,11 @@ def _cone_entries(bg, u):
     """Per cone, in divisor order: its vertex, the radius of its 1-ring
     against the radius of the inner harmonic zone, and u there."""
     mesh = bg.mesh
+    W = mesh.stiffness
     entries = []
     for c, point, profile in zip(mesh.cone_vertices, bg.divisor.points, bg.profiles):
-        ring = list(mesh.adjacency()[c])
-        radius = float(np.max(_cone_distance(mesh.vertices[ring], point.position)))
+        row = W.indices[W.indptr[c] : W.indptr[c + 1]]  # c and its 1-ring
+        radius = float(np.max(geodesic_distance(mesh.vertices[row], point.position)))
         delta = float(profile.delta)
         entries.append({
             "vertex": int(c),
@@ -428,11 +430,7 @@ def _football_example(k, out_dir) -> int:
 
     plain = build_mesh(5, div)
     w_plain = exact_football(k, plain)
-    d = np.minimum(
-        _cone_distance(plain.vertices, div.positions[0]),
-        _cone_distance(plain.vertices, div.positions[1]),
-    )
-    mask = d > 0.1
+    mask = np.all(geodesic_distance(plain.vertices[:, None], div.positions) > 0.1, axis=1)
     with np.errstate(all="ignore"):
         K = np.exp(-2.0 * w_plain) * (1.0 - plain.laplace(w_plain))
     dev = K[mask] - 1.0

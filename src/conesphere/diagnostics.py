@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .background import ConicalBackground
-from .divisor import ConePoint, Divisor
+from .divisor import ConePoint, Divisor, geodesic_distance
 from .errors import DomainError, ShapeError, SingularLinearization, SpectralError
 from .mesh import SphereMesh
 from .solver import _factor, _free_nodes, linearize
@@ -120,10 +120,15 @@ def kernel_gap(bg: ConicalBackground, u: np.ndarray) -> float:
     raise SpectralError(f"inverse-power iteration did not settle in {_GAP_MAX_ITERS} steps")
 
 
+def _check_order(k, least):
+    """DomainError unless the football order k is an integer >= least."""
+    if not (math.isfinite(k) and k >= least and int(k) == k):  # NaN fails too
+        raise DomainError(f"football order k must be an integer >= {least}, got {k}")
+
+
 def football_divisor(k: int) -> Divisor:
     """Two antipodal cone points of angle 2 pi / k on the polar axis."""
-    if int(k) != k or k < 2:
-        raise DomainError("football order k must be an integer >= 2")
+    _check_order(k, 2)
     beta = 1.0 / k - 1.0
     return Divisor(
         (
@@ -148,14 +153,12 @@ def exact_football(k: int, mesh: SphereMesh) -> np.ndarray:
     that e^{2w} carries the same zero quadrature convention as the conical
     weight fields.
     """
-    if int(k) != k or k < 1:
-        raise DomainError("football order k must be a positive integer")
+    _check_order(k, 1)
     if k == 1:
         return np.zeros(mesh.n_vertices)
-    z_axis = np.array([0.0, 0.0, 1.0])
     poles = []
-    for sign in (1.0, -1.0):
-        d = np.linalg.norm(mesh.vertices - sign * z_axis, axis=1)
+    for z in (1.0, -1.0):
+        d = geodesic_distance(mesh.vertices, [0.0, 0.0, z])
         i = int(np.argmin(d))
         if d[i] > 1e-9:
             raise ShapeError("mesh lacks a vertex at a football pole; build it "

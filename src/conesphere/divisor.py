@@ -57,14 +57,19 @@ class Divisor:
     """Ordered list of cone points; may be empty for round-sphere diagnostics."""
 
     points: tuple = field(default_factory=tuple)
+    # geodesic distance between each pair of points (0 on the diagonal)
+    distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if geodesic_distance(pts[i].position, pts[j].position) <= 0.0:
-                    raise DomainError(f"cone points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
+        p = self.positions
+        d = geodesic_distance(p[:, None], p)
+        same = np.argwhere(np.triu(d <= 0.0, 1))
+        if len(same):
+            i, j = same[0]
+            raise DomainError(f"cone points {i} and {j} coincide")
+        object.__setattr__(self, "distances", d)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -81,14 +86,7 @@ class Divisor:
         return np.array([p.position for p in self.points], dtype=float).reshape(len(self.points), 3)
 
     def min_pairwise_distance(self) -> float:
-        n = len(self.points)
-        if n < 2:
-            return math.pi
-        return min(
-            geodesic_distance(self.points[i].position, self.points[j].position)
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return float(np.min(self.distances[np.triu_indices(len(self), 1)], initial=math.pi))
 
 
 def divisor(positions, betas) -> Divisor:
@@ -106,11 +104,14 @@ def divisor(positions, betas) -> Divisor:
     return Divisor(tuple(pts))
 
 
-def geodesic_distance(p, q) -> float:
-    """Great-circle distance between unit vectors (atan2 form, stable near 0 and pi)."""
+def geodesic_distance(p, q):
+    """Great-circle distance between unit vectors, broadcast over leading axes.
+
+    Kahan's form 2 atan2(|p - q|, |p + q|) is exactly 0 for equal points and
+    pi for antipodes, and accurate to a few ulps at every angle between."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return math.atan2(np.linalg.norm(np.cross(p, q)), float(np.dot(p, q)))
+    return 2.0 * np.arctan2(np.linalg.norm(p - q, axis=-1), np.linalg.norm(p + q, axis=-1))
 
 
 def euler_characteristic(div: Divisor) -> float:

@@ -175,7 +175,7 @@ class _Grading:
         self.longest = array("d")
         self.rec = []
         self.half = [{} for _ in range(len(verts))]
-        edges, inv = _unique_edges(faces, return_inverse=True)
+        edges, inv = _unique_edges(faces)
         length = _row_norms(self.verts[edges[:, 0]] - self.verts[edges[:, 1]])
         for f, l in zip(faces.tolist(), length[inv].reshape(-1, 3).tolist()):
             self._add(*f, *l)
@@ -285,14 +285,13 @@ def _grade_mesh(verts, faces, positions, grading, grading_radius, h_base):
 # Edges, areas and stiffness
 
 
-def _unique_edges(faces, return_inverse=False):
-    """Each undirected edge once, as rows (i, j) with i < j, sorted.  With
-    `return_inverse`, also the row holding each row of `_face_edges(faces)`."""
+def _unique_edges(faces):
+    """Each undirected edge once, as rows (i, j) with i < j, sorted, and the
+    row holding each row of `_face_edges(faces)`."""
     e = np.sort(_face_edges(faces), axis=1)
     n = int(e.max()) + 1
     key, inv = np.unique(e[:, 0] * n + e[:, 1], return_inverse=True)
-    edges = np.stack([key // n, key % n], axis=1)
-    return (edges, inv) if return_inverse else edges
+    return np.stack([key // n, key % n], axis=1), inv
 
 
 def spherical_face_areas(verts, faces):
@@ -438,7 +437,6 @@ class SphereMesh:
     areas: np.ndarray
     stiffness: sp.csr_matrix
     cone_vertices: np.ndarray  # index of the mesh node carrying each cone point
-    _adjacency: _Neighbours = field(default=None, repr=False)
     _lap_edges: tuple = field(default=None, repr=False)
     _ordering: np.ndarray = field(default=None, repr=False)
     _csv_coords: list = field(default=None, repr=False)  # "x,y,z," text of each node
@@ -480,17 +478,11 @@ class SphereMesh:
             self._ordering = _dissection_order(self.vertices, i[upper], j[upper])
         return self._ordering
 
-    def adjacency(self):
-        if self._adjacency is None:
-            self._adjacency = _Neighbours(self.n_vertices, self.faces)
-        return self._adjacency
-
-    def ring(self, center: int, depth: int = 2):
-        return _rings(self.adjacency(), center, depth)
-
     def edge_lengths(self) -> np.ndarray:
-        e = _unique_edges(self.faces)
-        return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
+        """Chord length of each edge (i, j), i < j, in row order of the stiffness."""
+        i, j, _ = self._edge_form()
+        upper = i < j
+        return np.linalg.norm(self.vertices[i[upper]] - self.vertices[j[upper]], axis=1)
 
 
 def build_mesh(
@@ -503,7 +495,7 @@ def build_mesh(
     `grading` rounds of local edge halving in shrinking balls around each cone."""
     if grading < 0:
         raise MeshError(f"grading must be nonnegative, got {grading}")
-    if grading_radius <= 0.0:
+    if not grading_radius > 0.0:  # NaN fails too
         raise MeshError(f"grading_radius must be positive, got {grading_radius}")
     verts, faces = icosphere(base_level)
     positions = div.positions if div is not None and len(div) else np.zeros((0, 3))

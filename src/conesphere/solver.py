@@ -36,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .background import ConicalBackground, curvature_map, gauss_bonnet, _smoothstep
-from .divisor import solver_scope_check
+from .divisor import geodesic_distance, solver_scope_check
 from .errors import (
     ContinuationStall,
     DomainError,
@@ -128,9 +128,10 @@ def _product_field(bg: ConicalBackground, K):
     harmonic zone where the product equals the smooth factor exactly, so
     the extension is exact for the identity and manufactured targets."""
     G = bg.rho_pow_2beta * K
+    W = bg.mesh.stiffness
     for c in bg.mesh.cone_vertices:
-        ring = np.fromiter(bg.mesh.ring(c, 1) - {c}, dtype=int)
-        G[c] = float(np.mean(G[ring]))
+        row = W.indices[W.indptr[c] : W.indptr[c + 1]]  # c and its 1-ring
+        G[c] = float(np.mean(G[row[row != c]]))
     return G
 
 
@@ -321,20 +322,19 @@ def pinned_test_factor(bg: ConicalBackground, north: float = 1.0, south: float =
     derivatives) before reaching any cone neighborhood, so pi(v) > 0 reduces
     to m - Lap v > 0, which the scaling enforces with a 50% margin.
     """
+    if not (np.isfinite(north) and np.isfinite(south)):
+        raise DomainError(f"pinned test factor scales must be finite, got {north}, {south}")
     mesh = bg.mesh
-    cap = np.pi / 2.0
-    for p, r in zip(bg.divisor.points, bg.cone_radii):
-        for pole in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
-            dot = float(np.clip(p.position @ pole, -1.0, 1.0))
-            cap = min(cap, np.arccos(dot) - r - 0.02)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    clearance = geodesic_distance(bg.divisor.positions[:, None], poles) - bg.cone_radii[:, None]
+    cap = float(np.min(clearance - 0.02, initial=np.pi / 2.0))
     if cap <= 0.1:
         raise DomainError("no cone-free polar cap available for a pinned test factor")
 
-    def bump(pole_z):
-        d = np.arccos(np.clip(pole_z * mesh.vertices[:, 2], -1.0, 1.0))
-        return _smoothstep((cap - d) / cap)
+    def bump(pole):
+        return _smoothstep((cap - geodesic_distance(mesh.vertices, pole)) / cap)
 
-    v = north * bump(1.0) + south * bump(-1.0)
+    v = north * bump(poles[0]) + south * bump(poles[1])
     lap = mesh.laplace(v)
     limit = 0.5 * float(np.min(bg.m_field))
     peak = float(np.max(np.abs(lap)))

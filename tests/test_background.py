@@ -50,6 +50,13 @@ def test_overlapping_cones_rejected():
         build_background(tight, mesh)
 
 
+def test_nan_cutoff_radius_rejected():
+    # NaN passed the old `<= 0` test and gave NaN radii and no cones
+    div = flagship_divisor()
+    with pytest.raises(GeometryError):
+        build_background(div, build_mesh(3, div), cutoff_radius=math.nan)
+
+
 def test_mesh_of_another_divisor_rejected():
     div = flagship_divisor()
     other = equatorial_divisor([-0.3, -0.4, -0.5])  # same count, other positions

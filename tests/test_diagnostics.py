@@ -68,6 +68,14 @@ def test_football_divisor():
         football_divisor(1)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, 2.5])
+def test_football_order_must_be_a_finite_integer(k):
+    with pytest.raises(DomainError):
+        football_divisor(k)
+    with pytest.raises(DomainError):
+        exact_football(k, build_mesh(0))
+
+
 def test_exact_football_area_and_poles():
     div = football_divisor(2)
     mesh = build_mesh(4, div, grading=2)

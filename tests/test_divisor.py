@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -138,6 +139,44 @@ def test_solver_scope_truth_table():
 def test_geodesic_distance():
     assert geodesic_distance([1, 0, 0], [0, 1, 0]) == pytest.approx(math.pi / 2)
     assert geodesic_distance([0, 0, 1], [0, 0, 1]) == 0.0
+
+
+def exact_angle(p, q):
+    """Angle between the float vectors p and q, to 40 digits."""
+    with mpmath.workdps(40):
+        p, q = mpmath.matrix(p.tolist()), mpmath.matrix(q.tolist())
+        cross = [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
+        dot = sum(p[k] * q[k] for k in range(3))
+        return mpmath.atan2(mpmath.sqrt(sum(c * c for c in cross)), dot)
+
+
+def rotated_pairs(angle, count, seed=0):
+    """`count` random unit vectors p and unit vectors q at `angle` from them."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((count, 3))
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    t = np.cross(p, rng.standard_normal((count, 3)))
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    q = math.cos(angle) * p + math.sin(angle) * t
+    return p, q / np.linalg.norm(q, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("angle", [10.0**-k for k in range(2, 10)] + [math.pi - 1e-6])
+def test_geodesic_distance_is_accurate_at_every_angle(angle):
+    p, q = rotated_pairs(angle, 8)
+    d = geodesic_distance(p, q)
+    assert d.shape == (8,)
+    for k in range(8):
+        exact = exact_angle(p[k], q[k])
+        assert abs(d[k] - exact) <= 1e-13 * exact
+        # the rows of a broadcast call are the single calls
+        assert geodesic_distance(p[k], q[k]) == d[k] == geodesic_distance(p, q[k])[k]
+
+
+def test_geodesic_distance_is_exact_at_zero_and_pi():
+    p, _ = rotated_pairs(1.0, 8)
+    assert np.all(geodesic_distance(p, p) == 0.0)
+    assert np.all(geodesic_distance(p, -p) == math.pi)
 
 
 def test_equatorial_divisor_gaps():

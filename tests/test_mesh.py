@@ -13,6 +13,8 @@ from conesphere.divisor import equatorial_divisor, flagship_divisor
 from conesphere.errors import MeshError, ShapeError
 from conesphere.mesh import (
     _icosahedron,
+    _Neighbours,
+    _rings,
     _unique_edges,
     build_mesh,
     icosphere,
@@ -67,8 +69,8 @@ def test_icosphere_matches_loop_subdivision():
 def test_unique_edges_matches_row_unique():
     faces = build_mesh(3, flagship_divisor(), grading=2).faces
     e = np.sort(np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
-    np.testing.assert_array_equal(_unique_edges(faces), np.unique(e, axis=0))
-    edges, inv = _unique_edges(faces, return_inverse=True)
+    edges, inv = _unique_edges(faces)
+    np.testing.assert_array_equal(edges, np.unique(e, axis=0))
     ab_bc_ca = np.sort(faces[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
     np.testing.assert_array_equal(edges[inv], ab_bc_ca)
 
@@ -132,7 +134,7 @@ def test_grading_refines_near_cones():
     assert fine.n_vertices > coarse.n_vertices
 
     def min_incident_edge(mesh, vertex):
-        ring = list(mesh.adjacency()[vertex])
+        ring = one_ring(mesh, vertex)
         return float(np.min(np.linalg.norm(mesh.vertices[ring] - mesh.vertices[vertex], axis=1)))
 
     c0 = fine.cone_vertices[0]
@@ -181,6 +183,12 @@ def test_build_mesh_parameter_validation():
         build_mesh(3, close)
 
 
+def test_build_mesh_rejects_nan_grading_radius():
+    # NaN passed the old `<= 0` test and gave the ungraded mesh
+    with pytest.raises(MeshError):
+        build_mesh(3, flagship_divisor(), grading=2, grading_radius=math.nan)
+
+
 def reference_dissection(points, nbrs, part):
     """Nested dissection as specified, on adjacency sets: split at the median
     of the widest coordinate (stable sort), separator = low nodes with a high
@@ -201,7 +209,8 @@ def test_ordering_is_the_cached_nested_dissection():
     div = flagship_divisor()
     mesh = build_mesh(3, div, grading=2)
     order = mesh.ordering()
-    expected = reference_dissection(mesh.vertices, mesh.adjacency(), np.arange(mesh.n_vertices))
+    nbrs = reference_adjacency(mesh.n_vertices, mesh.faces)
+    expected = reference_dissection(mesh.vertices, nbrs, np.arange(mesh.n_vertices))
     assert np.array_equal(order, expected)
     assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
     assert mesh.ordering() is order
@@ -224,9 +233,33 @@ def test_adjacency_iterates_in_face_loop_order(div):
     # must iterate exactly as the loop's do, not merely hold the same nodes.
     mesh = build_mesh(3, div, grading=2 if div else 0)
     ref = reference_adjacency(mesh.n_vertices, mesh.faces)
-    nbrs = mesh.adjacency()
+    nbrs = _Neighbours(mesh.n_vertices, mesh.faces)
     assert all(list(ref[v]) == list(nbrs[v]) for v in range(mesh.n_vertices))
-    assert mesh.adjacency() is nbrs
+
+
+def one_ring(mesh, v):
+    """The 1-ring of node v: its row of the stiffness pattern, minus v."""
+    W = mesh.stiffness
+    row = W.indices[W.indptr[v] : W.indptr[v + 1]]
+    return row[row != v]
+
+
+@pytest.mark.parametrize("div", [flagship_divisor(), None], ids=["flagship-graded", "icosphere"])
+def test_stiffness_rows_are_the_one_rings(div):
+    mesh = build_mesh(3, div, grading=2 if div else 0)
+    ref = reference_adjacency(mesh.n_vertices, mesh.faces)
+    assert all(set(one_ring(mesh, v).tolist()) == ref[v] for v in range(mesh.n_vertices))
+    if div:
+        # right angles cancel some cotangent weights exactly: the pattern,
+        # not the nonzeros, holds the rings
+        assert np.count_nonzero(mesh.stiffness.data == 0.0) == 2
+
+
+def test_edge_lengths_read_the_stiffness_pattern():
+    mesh = build_mesh(3, flagship_divisor(), grading=2)
+    e, _ = _unique_edges(mesh.faces)
+    ref = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+    assert mesh.edge_lengths().tobytes() == ref.tobytes()
 
 
 def reference_node_areas(verts, faces):
@@ -289,9 +322,10 @@ def test_assembly_matches_per_function_cotangents(div, grading):
 
 
 def test_ring_contains_center_and_grows():
-    mesh = build_mesh(3)
-    r1 = mesh.ring(0, 1)
-    r2 = mesh.ring(0, 2)
+    verts, faces = icosphere(3)
+    nbrs = _Neighbours(len(verts), faces)
+    r1 = _rings(nbrs, 0, 1)
+    r2 = _rings(nbrs, 0, 2)
     assert 0 in r1
     assert r1 < r2
 

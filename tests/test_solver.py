@@ -206,6 +206,12 @@ def test_pinned_test_factor_properties(flagship_bg_small):
     assert np.all(curvature_map(bg, v)[free] > 0.0)
 
 
+@pytest.mark.parametrize("scales", [{"north": math.nan}, {"south": math.inf}], ids=["nan", "inf"])
+def test_pinned_test_factor_rejects_nonfinite_scales(flagship_bg_small, scales):
+    with pytest.raises(DomainError):
+        pinned_test_factor(flagship_bg_small, **scales)
+
+
 def test_nonpositive_target_rejected(flagship_bg_small):
     bg = flagship_bg_small
     K = np.full(bg.n_vertices, -1.0)
