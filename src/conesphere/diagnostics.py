@@ -120,15 +120,10 @@ def kernel_gap(bg: ConicalBackground, u: np.ndarray) -> float:
     raise SpectralError(f"inverse-power iteration did not settle in {_GAP_MAX_ITERS} steps")
 
 
-def _check_order(k, least):
-    """DomainError unless the football order k is an integer >= least."""
-    if not (math.isfinite(k) and k >= least and int(k) == k):  # NaN fails too
-        raise DomainError(f"football order k must be an integer >= {least}, got {k}")
-
-
 def football_divisor(k: int) -> Divisor:
     """Two antipodal cone points of angle 2 pi / k on the polar axis."""
-    _check_order(k, 2)
+    if not (math.isfinite(k) and k >= 2 and int(k) == k):
+        raise DomainError("football order k must be an integer >= 2")
     beta = 1.0 / k - 1.0
     return Divisor(
         (
@@ -153,7 +148,8 @@ def exact_football(k: int, mesh: SphereMesh) -> np.ndarray:
     that e^{2w} carries the same zero quadrature convention as the conical
     weight fields.
     """
-    _check_order(k, 1)
+    if not (math.isfinite(k) and k >= 1 and int(k) == k):
+        raise DomainError("football order k must be a positive integer")
     if k == 1:
         return np.zeros(mesh.n_vertices)
     poles = []
