@@ -250,8 +250,8 @@ def test_stiffness_rows_are_the_one_rings(div):
     ref = reference_adjacency(mesh.n_vertices, mesh.faces)
     assert all(set(one_ring(mesh, v).tolist()) == ref[v] for v in range(mesh.n_vertices))
     if div:
-        # right angles cancel some cotangent weights exactly: the pattern,
-        # not the nonzeros, holds the rings
+        # where the two angles opposite an edge sum to pi their cotangents
+        # cancel exactly: the pattern, not the nonzeros, holds the rings
         assert np.count_nonzero(mesh.stiffness.data == 0.0) == 2
 
 
