@@ -154,8 +154,8 @@ class WeightSpec:
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
         if not (0.0 < self.holder_alpha < 1.0):
             raise DomainError(f"holder_alpha must lie in (0,1), got {self.holder_alpha}")
-        if self.order_k < 0:
-            raise DomainError(f"order_k must be nonnegative, got {self.order_k}")
+        if not (isinstance(self.order_k, (int, np.integer)) and self.order_k >= 0):
+            raise DomainError(f"order_k must be a nonnegative integer, got {self.order_k!r}")
 
 
 def _nearest_indicial(gamma: float, betas: np.ndarray):

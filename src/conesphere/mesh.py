@@ -80,13 +80,17 @@ def _subdivide(verts, faces):
     return np.vstack([verts, m]), out
 
 
+def _check_level(name, value):
+    if not (isinstance(value, (int, np.integer)) and value >= 0):  # NaN and 2.5 fail
+        raise MeshError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def icosphere(level: int):
     """Vertices and faces of the icosahedral sphere mesh at the given level.
 
     Vertex count is 10 * 4**level + 2.
     """
-    if level < 0:
-        raise MeshError(f"refinement level must be nonnegative, got {level}")
+    _check_level("refinement level", level)
     verts, faces = _icosahedron()
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
@@ -154,77 +158,86 @@ def _snap_cones(verts, faces, positions):
 # Conforming longest-edge bisection grading
 
 
+def _orient(tri, lens):
+    """Faces `tri` rotated longest edge first, with their edge lengths (row i
+    of `lens` holds those of edges ab, bc, ca of face i).  Edges are keyed
+    (length, lo * n + hi), so equal lengths go to the larger sorted pair and
+    the two faces on an edge agree on it."""
+    nxt = tri[:, [1, 2, 0]]
+    pair = np.minimum(tri, nxt) * (int(tri.max()) + 1) + np.maximum(tri, nxt)
+    turn = (np.lexsort((pair, lens))[:, -1:] + np.arange(3)) % 3
+    return np.take_along_axis(tri, turn, axis=1), np.take_along_axis(lens, turn, axis=1)
+
+
+# A split of (a, b, c) and its neighbour (b, a, d) at the midpoint m of ab
+# leaves (a, m, c), (m, b, c), (b, m, d) and (m, a, d); row k lists the edge
+# lengths of child k as columns of [am, mb, mc, md, ca, bc, db, ad].
+_CHILD_LENGTHS = np.array([[0, 2, 4], [1, 5, 2], [1, 3, 6], [0, 7, 3]])
+
+
 class _Grading:
     """Conforming longest-edge (Rivara) bisection on flat buffers.
 
-    Faces are appended to `faces` (flat int64), with a live flag in `alive`
-    and their longest edge length in `longest`; `rec[f]` is face f rotated
-    longest edge first, with its three edge lengths.  Vertices never move, so
-    each edge length is computed once, over `_unique_edges` or when the edge
-    is made, and handed down to the faces that share it.  `half[a][b]` is the
-    live face that owns directed edge ab, so the mesh must be closed and
-    consistently oriented, as icosphere meshes are.  (One small dict per
-    vertex, not one large one, keeps the process's peak memory down.)
+    Faces are appended to `faces` (flat int64), with a live flag in `alive`.
+    `half[a][b]` is the live face that owns directed edge ab, so the mesh
+    must be closed and consistently oriented, as icosphere meshes are.  (One
+    small dict per vertex, not one large one, keeps the process's peak
+    memory down.)  A split records topology only: it numbers the midpoint
+    and appends the four child faces, the split's corners to `ends` and the
+    edge lengths it already knows to `known`.  `_flush` then computes the
+    geometry of every pending split in numpy batches: the midpoints, their
+    distances to the corners, and for each new face f `rec[f]`, the face
+    rotated longest edge first with its three edge lengths, and `longest[f]`.
+    Faces f >= len(rec) are pending.  Vertices never move, so each edge
+    length is computed once, over `_unique_edges` or when the edge is made,
+    and handed down to the faces that share it.
     """
 
     def __init__(self, verts, faces):
         self.verts = np.array(verts, dtype=float)
         self.nv = len(verts)
-        self.faces = array("q")
-        self.alive = bytearray()
+        self.faces = array("q", faces.ravel().tolist())
+        self.alive = bytearray(b"\1") * len(faces)
         self.longest = array("d")
         self.rec = []
+        self.ends = array("q")  # a, b, c, d of each pending split
+        self.known = array("d")  # |ca|, |bc|, |db|, |ad| of each pending split
         self.half = [{} for _ in range(len(verts))]
+        for f, (a, b, c) in enumerate(faces.tolist()):
+            self.half[a][b] = self.half[b][c] = self.half[c][a] = f
         edges, inv = _unique_edges(faces)
         length = _row_norms(self.verts[edges[:, 0]] - self.verts[edges[:, 1]])
-        for f, l in zip(faces.tolist(), length[inv].reshape(-1, 3).tolist()):
-            self._add(*f, *l)
+        self._record(faces, length[inv].reshape(-1, 3))
 
-    def _add(self, a, b, c, lab, lbc, lca):
-        """Append face (a, b, c), whose edges ab, bc, ca have the given lengths."""
-        # Rotate the longest edge first.  Equal lengths go to the larger
-        # sorted pair, so the two faces on an edge agree on it.
-        best = (lab, a, b) if a < b else (lab, b, a)
-        rec = (a, b, c, lab, lbc, lca)
-        key = (lbc, b, c) if b < c else (lbc, c, b)
-        if key > best:
-            best, rec = key, (b, c, a, lbc, lca, lab)
-        key = (lca, c, a) if c < a else (lca, a, c)
-        if key > best:
-            best, rec = key, (c, a, b, lca, lab, lbc)
-        half, fid = self.half, len(self.rec)
-        half[a][b] = half[b][c] = half[c][a] = fid
-        self.rec.append(rec)
-        self.faces.extend((a, b, c))
-        self.alive.append(1)
-        self.longest.append(best[0])
+    def _record(self, tri, lens):
+        tri, lens = _orient(tri, lens)
+        self.rec.extend(zip(*tri.T.tolist(), *lens.T.tolist()))
+        self.longest.extend(lens[:, 0].tolist())
 
-    def _split(self, fid, m, l_am, l_mb, l_mc):
-        """Replace face fid, (a, b, c) longest edge first, by (a, m, c) and
-        (m, b, c), where m is the midpoint of ab."""
-        a, b, c, _, lbc, lca = self.rec[fid]
-        self.alive[fid] = 0
-        del self.half[a][b]
-        self._add(a, m, c, l_am, l_mc, lca)
-        self._add(m, b, c, l_mb, lbc, l_mc)
-
-    def _midpoint(self, a, b, c, d):
-        """Append the normalised midpoint m of edge ab; return m and its
-        distances to a, b, c and d."""
-        m = self.nv
-        self.nv += 1
-        self.half.append({})
-        if m == len(self.verts):
-            self.verts = np.concatenate([self.verts, np.empty_like(self.verts)])
-        r = self.verts.take([a, b, c, d], axis=0)
-        p = r[0] + r[1]
-        p /= _row_norms(p)
-        self.verts[m] = p
-        r -= p
-        return m, _row_norms(r).tolist()
+    def _flush(self):
+        """Compute the pending midpoints and edge lengths; orient the pending
+        faces.  `_row_norms` gives a row the same bits alone or in a batch, so
+        batching changes no mesh."""
+        if not self.ends:
+            return
+        ends = np.array(self.ends).reshape(-1, 4)
+        m0 = self.nv - len(ends)
+        if self.nv > len(self.verts):
+            grown = np.empty((2 * self.nv, 3))
+            grown[:m0] = self.verts[:m0]
+            self.verts = grown
+        r = self.verts[ends]
+        p = r[:, 0] + r[:, 1]
+        p /= _row_norms(p)[:, None]
+        self.verts[m0 : self.nv] = p
+        lens = np.hstack([_row_norms(r - p[:, None]), np.array(self.known).reshape(-1, 4)])
+        tri = np.frombuffer(self.faces, dtype=np.int64)[3 * len(self.rec) :].reshape(-1, 3)
+        self._record(tri, lens[:, _CHILD_LENGTHS].reshape(-1, 3))
+        del self.ends[:], self.known[:]
 
     def bisect(self, fid):
         """Conforming bisection of one face by longest-edge propagation."""
+        rec, half, alive = self.rec, self.half, self.alive
         stack = [fid]
         guard = 0
         while stack:
@@ -232,23 +245,36 @@ class _Grading:
             if guard > 100000:
                 raise MeshError("longest-edge propagation failed to terminate")
             t = stack[-1]
-            if not self.alive[t]:
+            if not alive[t]:
                 stack.pop()
                 continue
-            a, b, c = self.rec[t][:3]
-            nb = self.half[b][a]
-            if self.rec[nb][:2] == (b, a):
-                m, (l_am, l_mb, l_mc, l_mc2) = self._midpoint(a, b, c, self.rec[nb][2])
-                self._split(t, m, l_am, l_mb, l_mc)
-                self._split(nb, m, l_mb, l_am, l_mc2)
-                stack.pop()
-            else:
+            a, b, c, _, lbc, lca = rec[t]
+            nb = half[b][a]
+            if nb >= len(rec):
+                self._flush()
+            if rec[nb][:2] != (b, a):
                 stack.append(nb)
+                continue
+            # split t = (a, b, c) and nb = (b, a, d) at the midpoint m of ab
+            d, lad, ldb = rec[nb][2], rec[nb][4], rec[nb][5]
+            m, f = self.nv, len(alive)
+            self.nv += 1
+            half.append({})
+            alive[t] = alive[nb] = 0
+            del half[a][b], half[b][a]
+            for i, (p, q, s) in enumerate(((a, m, c), (m, b, c), (b, m, d), (m, a, d)), f):
+                half[p][q] = half[q][s] = half[s][p] = i
+            self.faces.extend((a, m, c, m, b, c, b, m, d, m, a, d))
+            alive.extend(b"\1\1\1\1")
+            self.ends.extend((a, b, c, d))
+            self.known.extend((lca, lbc, ldb, lad))
+            stack.pop()
 
     def sweep(self, pos, cos_r, target):
         """Bisect, in id order, every live face that touches the ball
         {x : x . pos >= cos_r} and whose longest edge is at least `target`.
         Returns whether any face qualified."""
+        self._flush()
         near = self.verts[: self.nv] @ pos >= cos_r
         f = np.frombuffer(self.faces, dtype=np.int64).reshape(-1, 3)
         todo = np.flatnonzero(
@@ -263,6 +289,7 @@ class _Grading:
         return len(todo) > 0
 
     def arrays(self):
+        self._flush()
         faces = np.frombuffer(self.faces, dtype=np.int64).reshape(-1, 3)
         return self.verts[: self.nv].copy(), faces[np.frombuffer(self.alive, dtype=bool)]
 
@@ -493,8 +520,7 @@ def build_mesh(
 ) -> SphereMesh:
     """Icosphere at `base_level`, cone points snapped to vertices, then
     `grading` rounds of local edge halving in shrinking balls around each cone."""
-    if grading < 0:
-        raise MeshError(f"grading must be nonnegative, got {grading}")
+    _check_level("grading", grading)
     if not grading_radius > 0.0:  # NaN fails too
         raise MeshError(f"grading_radius must be positive, got {grading_radius}")
     verts, faces = icosphere(base_level)

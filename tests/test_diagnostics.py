@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conesphere.background import build_background
 from conesphere.diagnostics import (
@@ -14,8 +15,9 @@ from conesphere.diagnostics import (
     triangle_double_divisor,
 )
 from conesphere.divisor import geodesic_distance
-from conesphere.errors import DomainError, ShapeError
+from conesphere.errors import DomainError, ShapeError, SpectralError
 from conesphere.mesh import build_mesh
+from conesphere.solver import linearize
 
 
 def test_round_spectrum(round_bg4):
@@ -50,6 +52,29 @@ def test_spectrum_weighted_vs_plain_differ(flagship_bg_small):
 def test_kernel_gap_positive_on_pinned_problem(flagship_bg_small):
     g = kernel_gap(flagship_bg_small, np.zeros(flagship_bg_small.n_vertices))
     assert g > 0.05
+
+
+def test_kernel_gap_matches_dense_svd(flagship_div):
+    # the inverse-power loop this replaced stopped 7.6e-11 away
+    bg = build_background(flagship_div, build_mesh(3, flagship_div, grading=2))
+    u = np.zeros(bg.n_vertices)
+    sigma = np.linalg.svd(linearize(bg, u).toarray(), compute_uv=False)[-1]
+    assert abs(kernel_gap(bg, u) - sigma) <= 1e-12 * sigma
+
+
+def arpack_gives_up(*args, **kwargs):
+    raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), None)
+
+
+@pytest.mark.parametrize("eigsh", [
+    arpack_gives_up,
+    lambda *args, **kwargs: np.array([math.nan]),
+    lambda *args, **kwargs: np.array([-1.0]),
+], ids=["no-convergence", "nan", "negative"])
+def test_kernel_gap_lanczos_failures_are_spectral_errors(monkeypatch, flagship_bg_small, eigsh):
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    with pytest.raises(SpectralError):
+        kernel_gap(flagship_bg_small, np.zeros(flagship_bg_small.n_vertices))
 
 
 def test_kernel_gap_detects_round_kernel(round_bg4):

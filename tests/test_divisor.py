@@ -122,6 +122,14 @@ def test_weight_spec_validation():
         WeightSpec(gamma=(0.5,), order_k=-1)
 
 
+@pytest.mark.parametrize("k", [1.5, math.nan, 2.0], ids=["fraction", "nan", "float"])
+def test_weight_spec_order_must_be_an_integer(k):
+    # NaN and 1.5 passed the old `order_k < 0` test
+    with pytest.raises(DomainError):
+        WeightSpec(gamma=(0.5,), order_k=k)
+    assert WeightSpec(gamma=(0.5,), order_k=np.int64(2)).order_k == 2
+
+
 def test_solver_scope_truth_table():
     rep = solver_scope_check(equatorial_divisor([-0.3, -0.4, -0.5]))
     assert rep.passed

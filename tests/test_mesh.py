@@ -1,6 +1,7 @@
 """Icosphere construction, grading, and the discrete calculus on it."""
 
 import math
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -8,13 +9,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import conesphere.mesh as mesh_module
 from conesphere.diagnostics import football_divisor
 from conesphere.divisor import equatorial_divisor, flagship_divisor
 from conesphere.errors import MeshError, ShapeError
 from conesphere.mesh import (
     _icosahedron,
     _Neighbours,
+    _orient,
     _rings,
+    _row_norms,
     _unique_edges,
     build_mesh,
     icosphere,
@@ -172,6 +176,124 @@ def test_graded_mesh_matches_recorded_mesh():
     np.testing.assert_array_max_ulp(mesh.vertices, ref["vertices"], maxulp=1)
 
 
+class PerFaceGrading:
+    """Longest-edge bisection one face at a time, each midpoint and each
+    face's rotation computed as the split makes it: the reference for the
+    batched `_Grading`, with the same interface."""
+
+    def __init__(self, verts, faces):
+        self.verts = np.array(verts, dtype=float)
+        self.nv = len(verts)
+        self.faces = array("q")
+        self.alive = bytearray()
+        self.longest = array("d")
+        self.rec = []
+        self.half = [{} for _ in range(len(verts))]
+        edges, inv = _unique_edges(faces)
+        length = _row_norms(self.verts[edges[:, 0]] - self.verts[edges[:, 1]])
+        for f, l in zip(faces.tolist(), length[inv].reshape(-1, 3).tolist()):
+            self._add(*f, *l)
+
+    def _add(self, a, b, c, lab, lbc, lca):
+        best = (lab, a, b) if a < b else (lab, b, a)
+        rec = (a, b, c, lab, lbc, lca)
+        key = (lbc, b, c) if b < c else (lbc, c, b)
+        if key > best:
+            best, rec = key, (b, c, a, lbc, lca, lab)
+        key = (lca, c, a) if c < a else (lca, a, c)
+        if key > best:
+            best, rec = key, (c, a, b, lca, lab, lbc)
+        half, fid = self.half, len(self.rec)
+        half[a][b] = half[b][c] = half[c][a] = fid
+        self.rec.append(rec)
+        self.faces.extend((a, b, c))
+        self.alive.append(1)
+        self.longest.append(best[0])
+
+    def _split(self, fid, m, l_am, l_mb, l_mc):
+        a, b, c, _, lbc, lca = self.rec[fid]
+        self.alive[fid] = 0
+        del self.half[a][b]
+        self._add(a, m, c, l_am, l_mc, lca)
+        self._add(m, b, c, l_mb, lbc, l_mc)
+
+    def _midpoint(self, a, b, c, d):
+        m = self.nv
+        self.nv += 1
+        self.half.append({})
+        self.verts = np.vstack([self.verts, np.zeros((1, 3))])
+        r = self.verts.take([a, b, c, d], axis=0)
+        p = r[0] + r[1]
+        p /= _row_norms(p)
+        self.verts[m] = p
+        r -= p
+        return m, _row_norms(r).tolist()
+
+    def bisect(self, fid):
+        stack = [fid]
+        while stack:
+            t = stack[-1]
+            if not self.alive[t]:
+                stack.pop()
+                continue
+            a, b, c = self.rec[t][:3]
+            nb = self.half[b][a]
+            if self.rec[nb][:2] == (b, a):
+                m, (l_am, l_mb, l_mc, l_md) = self._midpoint(a, b, c, self.rec[nb][2])
+                self._split(t, m, l_am, l_mb, l_mc)
+                self._split(nb, m, l_mb, l_am, l_md)
+                stack.pop()
+            else:
+                stack.append(nb)
+
+    def sweep(self, pos, cos_r, target):
+        near = self.verts[: self.nv] @ pos >= cos_r
+        todo = [
+            f for f, (a, b, c) in enumerate(np.reshape(self.faces, (-1, 3)).tolist())
+            if self.alive[f] and (near[a] or near[b] or near[c]) and self.longest[f] >= target
+        ]
+        for fid in todo:
+            if self.alive[fid]:
+                self.bisect(fid)
+        return len(todo) > 0
+
+    def arrays(self):
+        faces = np.reshape(self.faces, (-1, 3))
+        return self.verts[: self.nv].copy(), faces[np.frombuffer(self.alive, dtype=bool)]
+
+
+@pytest.mark.parametrize(
+    "div, base, grading",
+    [(flagship_divisor(), 3, 2), (flagship_divisor(), 4, 3), (flagship_divisor(), 3, 6),
+     (football_divisor(2), 4, 2), (football_divisor(3), 4, 2),
+     (equatorial_divisor([-0.3] * 3), 4, 3)],
+    ids=["flagship-b3-g2", "flagship-b4-g3", "flagship-b3-g6", "football2-b4-g2",
+         "football3-b4-g2", "equilateral-b4-g3"],
+)
+def test_batched_grading_matches_per_face_grading(monkeypatch, div, base, grading):
+    # Midpoints and face rotations are computed in batches; the faces and the
+    # vertex bytes must be those of splitting one face at a time.
+    mesh = build_mesh(base, div, grading=grading)
+    monkeypatch.setattr(mesh_module, "_Grading", PerFaceGrading)
+    ref = build_mesh(base, div, grading=grading)
+    assert ref.n_vertices > 10 * 4**base + 2  # the reference did grade
+    assert mesh.faces.tobytes() == ref.faces.tobytes()
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+
+
+def test_orient_breaks_length_ties_by_the_larger_sorted_pair():
+    tri = np.array([[0, 1, 2], [1, 3, 9], [9, 3, 2], [4, 7, 6], [4, 7, 6]])
+    lens = np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 1.0], [1.0, 0.5, 1.0],
+                     [2.0, 1.0, 2.0], [1.0, 3.0, 2.0]])
+    rotated, rotated_lens = _orient(tri, lens)
+    # (1, 2) beats (0, 1) and (0, 2); both faces on edge 3-9 put it first,
+    # over the tied (1, 9) and (2, 9); (4, 7) beats (4, 6); a longer edge
+    # wins over any pair
+    np.testing.assert_array_equal(rotated, [[1, 2, 0], [3, 9, 1], [9, 3, 2], [4, 7, 6], [7, 6, 4]])
+    np.testing.assert_array_equal(rotated_lens, [[1.0, 1.0, 1.0], [1.0, 1.0, 0.5], [1.0, 0.5, 1.0],
+                                                 [2.0, 1.0, 2.0], [3.0, 2.0, 1.0]])
+
+
 def test_build_mesh_parameter_validation():
     div = flagship_divisor()
     with pytest.raises(MeshError):
@@ -181,6 +303,20 @@ def test_build_mesh_parameter_validation():
     close = equatorial_divisor([-0.3, -0.4, -0.5], gaps=[0.01, 1.0, 2 * math.pi - 1.01])
     with pytest.raises(MeshError):
         build_mesh(3, close)
+
+
+@pytest.mark.parametrize("base_level, grading", [(2, math.nan), (2, 2.5), (2.5, 1), (math.nan, 1)],
+                         ids=["grading-nan", "grading-2.5", "base-2.5", "base-nan"])
+def test_build_mesh_levels_must_be_integers(base_level, grading):
+    # grading NaN gave the ungraded mesh; 2.5 ended in range()'s TypeError
+    with pytest.raises(MeshError, match="nonnegative integer"):
+        build_mesh(base_level, flagship_divisor(), grading=grading)
+
+
+@pytest.mark.parametrize("level", [2.5, math.nan, -1])
+def test_icosphere_level_must_be_a_nonnegative_integer(level):
+    with pytest.raises(MeshError, match="nonnegative integer"):
+        icosphere(level)
 
 
 def test_build_mesh_rejects_nan_grading_radius():
