@@ -4,7 +4,6 @@ from .divisor import (
     ConePoint,
     Divisor,
     WeightSpec,
-    cone_angle,
     divisor,
     equatorial_divisor,
     euler_characteristic,

@@ -358,6 +358,7 @@ def cmd_solve(args) -> int:
         {
             "converged": report.converged,
             "final_residual_sup": report.final_residual_sup,
+            "final_residual_pointwise": report.final_residual_pointwise,
             "gauss_bonnet_residual": report.gauss_bonnet_residual,
             "newton_iterations_total": report.newton_iterations_total,
             "chord_steps": report.chord_steps,

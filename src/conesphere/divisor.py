@@ -21,13 +21,6 @@ _MAX_INDICIAL_M = 10**6
 _INDICIAL_TOL = 1e-9
 
 
-def cone_angle(beta: float) -> float:
-    """Cone angle 2*pi*(beta + 1) in radians; beta <= -1 is degenerate."""
-    if beta <= -1.0:
-        raise DomainError(f"cone exponent {beta} <= -1 gives a degenerate cone")
-    return 2.0 * math.pi * (beta + 1.0)
-
-
 @dataclass(frozen=True)
 class ConePoint:
     """A marked point on the unit sphere with cone exponent beta in (-1, 0].

@@ -470,6 +470,17 @@ def test_readme_job_config_checks(tmp_path):
     assert main(["check", "--config", path, "--out", str(tmp_path)]) == 0
 
 
+def test_readme_job_solves_at_the_default_tolerance(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    path = write_config(tmp_path, json.loads(block))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    solver = read_report(tmp_path, "solve.json")["report"]["solver"]
+    assert solver["converged"] is True
+    assert solver["newton_iterations_total"] <= 6
+    assert f"final_residual_pointwise: {solver['final_residual_pointwise']}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_unusable_out_exits_2(tmp_path, monkeypatch, under):
     # a regular file as --out, or a path under one, used to end in a

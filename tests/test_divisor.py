@@ -10,7 +10,6 @@ from conesphere.divisor import (
     ConePoint,
     Divisor,
     WeightSpec,
-    cone_angle,
     divisor,
     equatorial_divisor,
     euler_characteristic,
@@ -21,18 +20,6 @@ from conesphere.divisor import (
     weight_admissible,
 )
 from conesphere.errors import DomainError, ScopeError, ShapeError
-
-
-def test_cone_angle_identity_and_monotonicity():
-    assert cone_angle(0.0) == 2.0 * math.pi
-    betas = np.linspace(-0.99, 0.0, 50)
-    angles = [cone_angle(b) for b in betas]
-    assert np.all(np.diff(angles) > 0.0)
-
-
-def test_cone_angle_rejects_exponent_at_or_below_minus_one():
-    with pytest.raises(DomainError):
-        cone_angle(-1.0)
 
 
 def test_divisor_positions_normalized():

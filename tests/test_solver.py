@@ -305,6 +305,35 @@ def test_continuation_on_linear_target(flagship_bg_small):
     assert np.max(np.abs(ach[free] - K[free])) < 1e-7
 
 
+def test_linear_target_needs_no_damped_plateau(flagship_bg_small):
+    # the case above once spent 23 of its 25 factorizations on a plateau of
+    # damped steps at the pointwise residual's rounding floor
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    _, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
+    assert rep.newton_iterations_total <= 6
+
+
+def test_report_residuals_match_their_definitions(flagship_bg_small):
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    u, rep = newton_solve(bg, K, np.zeros(bg.n_vertices), SolverConfig(newton_tol=1e-9))
+    F, _ = _residual(bg, u, solver._product_field(bg, K))
+    A = bg.mesh.areas
+    assert rep.final_residual_sup == float(np.max(np.abs(A / np.mean(A) * F)))
+    assert rep.final_residual_pointwise == float(np.max(np.abs(F)))
+    assert rep.final_residual_sup <= 1e-9
+
+
+def test_constant_target_converges_at_grading_6(flagship_bg_g6):
+    # the pointwise residual's rounding floor on this mesh is about 3e-8, so
+    # a pointwise stopping test at 1e-8 ended in ContinuationStall
+    bg = flagship_bg_g6
+    _, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
+    assert rep.converged
+    assert rep.gauss_bonnet_residual < 5e-4
+
+
 def test_continuation_step_control(flagship_bg_small, monkeypatch):
     # three Newton iterations are too few for the full step: it is halved,
     # and the halved step is kept for the rest of the path
