@@ -354,16 +354,8 @@ def cmd_solve(args) -> int:
     if job.config["outputs"]["mesh_off"]:
         write_off(os.path.join(args.out, "mesh.off"), mesh)
     _write_report(args.out, "solve.json", payload)
-    _print_lines(
-        {
-            "converged": report.converged,
-            "final_residual_sup": report.final_residual_sup,
-            "final_residual_pointwise": report.final_residual_pointwise,
-            "gauss_bonnet_residual": report.gauss_bonnet_residual,
-            "newton_iterations_total": report.newton_iterations_total,
-            "chord_steps": report.chord_steps,
-        }
-    )
+    summary = dataclasses.asdict(report)
+    _print_lines({k: v for k, v in summary.items() if k not in ("continuation_path", "warnings")})
     return 0
 
 

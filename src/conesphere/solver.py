@@ -57,7 +57,9 @@ _CHORD_RATE = 0.1
 _MAX_FACTORIZATIONS = 25
 # continuation step halvings before the path is given up
 _CONTINUATION_HALVINGS = 10
-# an inner linear residual above 1e3 * _LINEAR_TOL * max(1, pointwise sup|F|) is singular
+# refinement steps of one Newton correction, at most
+_REFINEMENT_STEPS = 5
+# refinement stops at 10 * _LINEAR_TOL * sup|F|; above 1e3 * _LINEAR_TOL * max(1, sup|F|) is singular
 _LINEAR_TOL = 1e-12
 
 
@@ -74,13 +76,16 @@ class SolverConfig:
 class SolverReport:
     """What a solve did.  final_residual_sup is the area-weighted residual Newton
     stopped on, final_residual_pointwise max|F| there; newton_iterations_total
-    counts LU factorizations of the Jacobian, chord_steps steps with a kept LU."""
+    counts LU factorizations of the Jacobian, chord_steps steps with a kept LU;
+    linear_residual is the largest |J d + F| / max(1, sup|F|) over corrections d."""
 
     converged: bool
     final_residual_sup: float
     final_residual_pointwise: float
     newton_iterations_total: int
     chord_steps: int = 0
+    linear_residual: float = 0.0
+    refinement_steps: int = 0
     continuation_path: list = field(default_factory=list)  # (t, iterations, residual)
     gauss_bonnet_residual: float = float("nan")
     warnings: list = field(default_factory=list)
@@ -165,16 +170,20 @@ def _check_target(bg: ConicalBackground, K_target) -> np.ndarray:
     return K
 
 
-@dataclass(frozen=True)
+@dataclass
 class _OrderedLU:
-    """SuperLU factors of A[order][:, order]; `solve` solves with A itself."""
+    """SuperLU factors of A[order][:, order] in A's precision; `solve` solves with
+    A itself in that precision, returns float64, and counts itself in `solves`."""
 
     lu: spla.SuperLU
     order: np.ndarray
+    dtype: np.dtype
+    solves: int = 0
 
     def solve(self, b, trans="N"):
-        y = self.lu.solve(b[self.order], trans)
-        x = np.empty_like(y)
+        self.solves += 1
+        y = self.lu.solve(b[self.order].astype(self.dtype, copy=False), trans)
+        x = np.empty(y.shape)
         x[self.order] = y
         return x
 
@@ -186,18 +195,24 @@ def _factor(A: sp.csc_matrix, order: np.ndarray) -> _OrderedLU:
     usual.  SingularLinearization if SuperLU fails.  splu is looked up on
     scipy's module, so a wrapper installed there sees it."""
     try:
-        return _OrderedLU(spla.splu(A[order][:, order], permc_spec="NATURAL"), order)
+        return _OrderedLU(spla.splu(A[order][:, order], permc_spec="NATURAL"), order, A.dtype)
     except RuntimeError as exc:
         raise SingularLinearization(f"sparse factorization failed: {exc}") from exc
 
 
 def _refined_solve(lu: _OrderedLU, J, F):
-    """The Newton correction d with J d = -F, plus one step of iterative
-    refinement: the row scaling e^{-2u}/area spans many orders of magnitude
-    on graded meshes and a raw factorization solve leaves the sup-residual
-    floor too high."""
+    """The Newton correction d with J d = -F, solved with the LU in its own
+    precision (float32 unless Newton fell back), then refined, d -= LU^-1 (J d + F)
+    with J and F in float64, to the float64 floor: until sup|J d + F| is at most
+    10 * _LINEAR_TOL * sup|F|, stops falling, or after _REFINEMENT_STEPS."""
     d = lu.solve(-F)
-    d -= lu.solve(J @ d + F)
+    tol, last = 10.0 * _LINEAR_TOL * float(np.max(np.abs(F))), np.inf
+    for _ in range(_REFINEMENT_STEPS):
+        r = J @ d + F
+        if not tol < np.max(np.abs(r)) < last:  # a NaN stops too
+            break
+        last = np.max(np.abs(r))
+        d -= lu.solve(r)
     return d
 
 
@@ -217,30 +232,40 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
     a = bg.mesh.areas / np.mean(bg.mesh.areas)
     F, lap_u = _residual(bg, u, G)
     res = float(np.max(np.abs(a * F)))
-    iters = chords = 0
+    iters = chords = refinements = 0
+    lin_worst = 0.0
     lu = None  # the kept factorization of J, if any
+    precision = np.float32  # of the factorizations; float64 once float32's refinement fails
     while not res <= cfg.newton_tol:  # a NaN residual never converges
-        if lu is not None:
-            trial = u + _refined_solve(lu, J, F)
+        fresh = lu is None
+        if fresh:
+            if iters >= _MAX_FACTORIZATIONS:
+                raise NewtonDivergence(
+                    f"no convergence in {_MAX_FACTORIZATIONS} iterations (residual {res:.3e})"
+                )
+            J = _jacobian(bg, u, lap_u)
+            lu = _factor(J.astype(precision), bg.mesh.ordering())
+        solves = lu.solves
+        d = _refined_solve(lu, J, F)
+        refinements += lu.solves - solves - 1
+        lin_res = float(np.max(np.abs(J @ d + F))) / max(1.0, float(np.max(np.abs(F))))
+        if fresh and precision == np.float32 and not lin_res <= 1e3 * _LINEAR_TOL:
+            precision, lu, iters = np.float64, None, iters + 1  # J is too ill-conditioned
+            continue
+        lin_worst = max(lin_worst, lin_res)  # a NaN is skipped: its step is never taken
+        if not fresh:
+            trial = u + d
             F_t, lap_t = _residual(bg, trial, G)
             res_t = float(np.max(np.abs(a * F_t)))
             if res_t < _CHORD_RATE * res:  # a NaN fails and refactors
                 u, F, lap_u, res = trial, F_t, lap_t, res_t
                 chords += 1
-                continue
-            lu = None  # else it stays alive while the next factorization runs
-        if iters >= _MAX_FACTORIZATIONS:
-            raise NewtonDivergence(
-                f"no convergence in {_MAX_FACTORIZATIONS} iterations (residual {res:.3e})"
-            )
-        J = _jacobian(bg, u, lap_u)
-        lu = _factor(J, bg.mesh.ordering())
-        d = _refined_solve(lu, J, F)
-        lin_res = float(np.max(np.abs(J @ d + F)))
-        lin_tol = _LINEAR_TOL * max(1.0, float(np.max(np.abs(F)))) * 1e3
-        if not np.all(np.isfinite(d)) or lin_res > lin_tol:
+            else:
+                lu = None  # freed before the next factorization runs
+            continue
+        if not np.all(np.isfinite(d)) or lin_res > 1e3 * _LINEAR_TOL:
             raise SingularLinearization(
-                f"inner linear solve residual {lin_res:.3e} exceeds tolerance"
+                f"inner linear solve residual {lin_res:.3e} (relative) exceeds tolerance"
             )
         step = 1.0
         for _ in range(_LINE_SEARCH_HALVINGS + 1):
@@ -262,6 +287,8 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
         final_residual_pointwise=float(np.max(np.abs(F))),
         newton_iterations_total=iters,
         chord_steps=chords,
+        linear_residual=lin_worst,
+        refinement_steps=refinements,
         gauss_bonnet_residual=gauss_bonnet(bg, u, cone_tol=np.inf).residual,
     )
     return u, report
@@ -295,9 +322,7 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
     u = np.zeros(bg.n_vertices)
     t = 0.0
     dt = 1.0
-    path = []
-    warnings = []
-    total_iters = total_chords = 0
+    steps, warnings = [], []  # steps: (t, report) of each accepted step
     while t < 1.0:
         t_next = min(1.0, t + dt)
         try:
@@ -311,13 +336,15 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
             warnings.append(f"step halved at t = {t:.4f}: {type(exc).__name__}")
             continue
         u, t = u_next, t_next
-        total_iters += rep.newton_iterations_total
-        total_chords += rep.chord_steps
-        path.append((t, rep.newton_iterations_total, rep.final_residual_sup))
+        steps.append((t, rep))
     # the loop ends on an accepted step, whose report already certifies u
     return u, replace(
-        rep, newton_iterations_total=total_iters, chord_steps=total_chords,
-        continuation_path=path, warnings=warnings,
+        rep, warnings=warnings,
+        newton_iterations_total=sum(r.newton_iterations_total for _, r in steps),
+        chord_steps=sum(r.chord_steps for _, r in steps),
+        refinement_steps=sum(r.refinement_steps for _, r in steps),
+        linear_residual=max(r.linear_residual for _, r in steps),
+        continuation_path=[(t, r.newton_iterations_total, r.final_residual_sup) for t, r in steps],
     )
 
 

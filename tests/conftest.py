@@ -49,6 +49,18 @@ def flagship_bg_g6(flagship_div):
 
 
 @pytest.fixture(scope="session")
+def flagship_bg_g7(flagship_div):
+    mesh = build_mesh(5, flagship_div, grading=7)
+    return build_background(flagship_div, mesh)
+
+
+@pytest.fixture(scope="session")
+def flagship_bg_g9(flagship_div):
+    mesh = build_mesh(5, flagship_div, grading=9)
+    return build_background(flagship_div, mesh)
+
+
+@pytest.fixture(scope="session")
 def round_bg4():
     return build_background(Divisor(()), build_mesh(4))
 

@@ -329,6 +329,16 @@ def test_solve_reports_chord_steps(tmp_path, capsys):
     assert f"chord_steps: {rep['chord_steps']}" in printed
 
 
+def test_solve_prints_linear_residual_and_refinement_steps(tmp_path, capsys):
+    path = write_config(tmp_path, flagship_config(outputs={"fields": False}))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    rep = read_report(tmp_path, "solve.json")["report"]["solver"]
+    assert 0.0 < rep["linear_residual"] <= 1e-9 and rep["refinement_steps"] > 0
+    printed = capsys.readouterr().out.splitlines()
+    assert f"linear_residual: {rep['linear_residual']}" in printed
+    assert f"refinement_steps: {rep['refinement_steps']}" in printed
+
+
 def test_solve_grid_target(tmp_path):
     # round-trip: the mesh in the config is deterministic, so a grid written
     # against it is accepted and solved

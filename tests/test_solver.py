@@ -129,18 +129,117 @@ def test_damped_step_does_not_keep_the_lu(flagship_bg_small, monkeypatch):
 
 
 def test_linear_target_factorizations(flagship_bg_small, monkeypatch):
-    # test_continuation_on_linear_target's case: refactoring at every step
-    # takes all 25 allowed factorizations; no two LUs are ever alive
+    # test_continuation_on_linear_target's case: 4 factorizations with chord
+    # steps, 6 when it refactors at every step; no two LUs are ever alive
     bg = flagship_bg_small
     K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
     made = _count_factorizations(monkeypatch)
     u, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
     assert rep.final_residual_sup <= 1e-9
-    assert len(made) == rep.newton_iterations_total <= 23
+    assert len(made) == rep.newton_iterations_total <= 6
     assert rep.chord_steps >= 1
     monkeypatch.setattr(solver, "_CHORD_RATE", 0.0)
     u_fresh, _ = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
     assert np.max(np.abs(u - u_fresh)) <= 1e-10
+
+
+def test_linear_residual_is_reported(flagship_bg_small, monkeypatch):
+    # every correction reaches the singular threshold 1e3 * _LINEAR_TOL; the
+    # path's report has the largest linear residual and the summed refinements
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    steps = []
+    newton = solver.newton_solve
+
+    def spy(*args):
+        u, rep = newton(*args)
+        steps.append(rep)
+        return u, rep
+
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 3)
+    _, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
+    assert len(steps) > 1
+    assert 0.0 < rep.linear_residual <= 1e3 * solver._LINEAR_TOL == 1e-9
+    assert rep.linear_residual == max(s.linear_residual for s in steps)
+    assert rep.refinement_steps == sum(s.refinement_steps for s in steps) > 0
+
+
+@pytest.mark.parametrize("name", ["flagship_bg_small", "flagship_bg_g4"])
+def test_float32_factor_refines_to_the_float64_solve(name, request):
+    # at base 5 / grading 4 the two agree to 2e-13; at grading 5 the float64
+    # solve's own relative residual, 6e-12, is above the refined one's
+    bg = request.getfixturevalue(name)
+    u = pinned_test_factor(bg, north=0.5, south=0.2)
+    F, lap_u = _residual(bg, u, solver._product_field(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
+    J = _jacobian(bg, u, lap_u)
+    lu32 = solver._factor(J.astype(np.float32), bg.mesh.ordering())
+    assert lu32.lu.solve(np.zeros(J.shape[0], np.float32)).dtype == np.float32
+    d = solver._refined_solve(lu32, J, F)
+    ref = solver._factor(J, bg.mesh.ordering()).solve(-F)
+    assert d.dtype == np.float64
+    assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # one float32 solve alone is far from it
+    raw = lu32.solve(-F)
+    assert np.max(np.abs(raw - ref)) > 1e-9 * np.max(np.abs(ref))
+
+
+def _perturbed_factor(monkeypatch, count=None):
+    """Wrap solver._factor to factor A + c I, c ten times the largest |A_ii|, in
+    its first `count` calls (every call if None): refinement with such a factor
+    cannot reach the float64 floor.  Returns the list of the dtypes factored."""
+    factor, made = solver._factor, []
+
+    def perturbed(A, order):
+        made.append(A.dtype)
+        if count is None or len(made) <= count:
+            c = 10.0 * np.max(np.abs(A.diagonal()))
+            A = (A + c * scipy.sparse.identity(A.shape[0], dtype=A.dtype)).tocsc()
+        return factor(A, order)
+
+    monkeypatch.setattr(solver, "_factor", perturbed)
+    return made
+
+
+def test_unconverged_refinement_is_singular(flagship_bg_small, monkeypatch):
+    # the float32 factor fails, then the float64 one
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    made = _perturbed_factor(monkeypatch)
+    with pytest.raises(SingularLinearization, match="exceeds tolerance"):
+        newton_solve(bg, K, np.zeros(bg.n_vertices))
+    assert made == [np.float32, np.float64]
+
+
+def test_unconverged_float32_refinement_falls_back_to_float64(flagship_bg_small, monkeypatch):
+    # a Jacobian too ill-conditioned for a float32 factor is factored again in
+    # float64, and so is every later one of the solve
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    made = _perturbed_factor(monkeypatch, count=1)
+    u, rep = newton_solve(bg, K, np.zeros(bg.n_vertices), SolverConfig(newton_tol=1e-9))
+    assert made == [np.float32] + [np.float64] * (len(made) - 1)
+    assert rep.newton_iterations_total == len(made) > 2
+    assert rep.final_residual_sup <= 1e-9
+    # the failed correction's step is not taken, so its residual is not reported
+    assert rep.linear_residual <= 1e-9
+    u_ref, _ = newton_solve(bg, K, np.zeros(bg.n_vertices), SolverConfig(newton_tol=1e-9))
+    assert np.max(np.abs(u - u_ref)) <= 1e-8
+
+
+def test_unconverged_refinement_halves_the_continuation_step(flagship_bg_small, monkeypatch):
+    # both factors of the first step are perturbed: the step is halved and
+    # retried, instead of an unconverged u being returned
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    _perturbed_factor(monkeypatch, count=2)
+    u, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
+    assert rep.warnings == ["step halved at t = 0.0000: SingularLinearization"]
+    assert [step[0] for step in rep.continuation_path] == [0.5, 1.0]
+    assert rep.converged and rep.final_residual_sup <= 1e-9
+    assert rep.linear_residual <= 1e-9
+    u_ref, _ = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
+    assert np.max(np.abs(u - u_ref)) <= 1e-8
 
 
 def test_counts_are_summed_over_the_path(flagship_bg_small, monkeypatch):
@@ -331,6 +430,27 @@ def test_constant_target_converges_at_grading_6(flagship_bg_g6):
     bg = flagship_bg_g6
     _, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
     assert rep.converged
+    assert rep.gauss_bonnet_residual < 5e-4
+
+
+def test_constant_target_converges_at_grading_7(flagship_bg_g7):
+    # the path once took 122 factorizations and 32 s of continuation halvings
+    bg = flagship_bg_g7
+    _, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
+    assert rep.converged
+    assert rep.newton_iterations_total <= 6
+    assert rep.gauss_bonnet_residual < 5e-4
+
+
+def test_constant_target_converges_at_grading_9(flagship_bg_g9):
+    # refinement with a float32 factor contracts only about 100-fold per step
+    # here and stops short of the singular threshold, so Newton falls back to
+    # float64 factors; without the fallback this ended in ContinuationStall
+    bg = flagship_bg_g9
+    _, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
+    assert rep.converged and not rep.warnings
+    assert rep.newton_iterations_total <= 6
+    assert rep.linear_residual <= 1e-9
     assert rep.gauss_bonnet_residual < 5e-4
 
 
