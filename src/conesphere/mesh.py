@@ -512,6 +512,10 @@ class SphereMesh:
         return np.linalg.norm(self.vertices[i[upper]] - self.vertices[j[upper]], axis=1)
 
 
+_MESH_CACHE_SIZE = 4  # meshes build_mesh keeps, least recently used dropped first
+_meshes = {}
+
+
 def build_mesh(
     base_level: int,
     div: Divisor | None = None,
@@ -519,12 +523,26 @@ def build_mesh(
     grading_radius: float = 0.3,
 ) -> SphereMesh:
     """Icosphere at `base_level`, cone points snapped to vertices, then
-    `grading` rounds of local edge halving in shrinking balls around each cone."""
+    `grading` rounds of local edge halving in shrinking balls around each cone.
+    Equal arguments (positions by their bytes, as snapping writes them into the
+    vertices; not the exponents) return one read-only mesh, kept while it is
+    among the _MESH_CACHE_SIZE last used."""
+    _check_level("refinement level", base_level)
     _check_level("grading", grading)
     if not grading_radius > 0.0:  # NaN fails too
         raise MeshError(f"grading_radius must be positive, got {grading_radius}")
-    verts, faces = icosphere(base_level)
     positions = div.positions if div is not None and len(div) else np.zeros((0, 3))
+    key = (base_level, grading, grading_radius, positions.tobytes())
+    mesh = _meshes.pop(key, None) or _build_mesh(
+        base_level, div, positions, grading, grading_radius)
+    _meshes[key] = mesh
+    if len(_meshes) > _MESH_CACHE_SIZE:
+        del _meshes[next(iter(_meshes))]
+    return mesh
+
+
+def _build_mesh(base_level, div, positions, grading, grading_radius):
+    verts, faces = icosphere(base_level)
     if len(positions):
         if div.min_pairwise_distance() < 4.0 * math.pi / (5 * 2**base_level):
             raise MeshError("cone points too close together for this base level")
@@ -539,13 +557,12 @@ def build_mesh(
         verts, faces = _grade_mesh(verts, faces, positions, grading, grading_radius, h_base)
 
     cot = _corner_cotangents(verts, faces)
-    return SphereMesh(
-        vertices=verts,
-        faces=faces,
-        areas=lumped_node_areas(verts, faces, cot),
-        stiffness=cotan_stiffness(faces, cot, len(verts)),
-        cone_vertices=np.array(cone_ids, dtype=np.int64),
-    )
+    W = cotan_stiffness(faces, cot, len(verts))
+    mesh = SphereMesh(verts, faces, lumped_node_areas(verts, faces, cot), W,
+                      np.array(cone_ids, dtype=np.int64))
+    for a in (verts, faces, mesh.areas, mesh.cone_vertices, W.data, W.indices, W.indptr):
+        a.flags.writeable = False
+    return mesh
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,8 @@ _MAX_FACTORIZATIONS = 25
 _CONTINUATION_HALVINGS = 10
 # refinement steps of one Newton correction, at most
 _REFINEMENT_STEPS = 5
-# refinement stops at 10 * _LINEAR_TOL * sup|F|; above 1e3 * _LINEAR_TOL * max(1, sup|F|) is singular
+# refinement stops at 10 * _LINEAR_TOL * sup|F|; a correction is singular when
+# sup|J d + F| exceeds 1e3 * _LINEAR_TOL * max(1, sup|F|) and its backward error 1e3 * eps
 _LINEAR_TOL = 1e-12
 
 
@@ -216,6 +217,14 @@ def _refined_solve(lu: _OrderedLU, J, F):
     return d
 
 
+def _backward_error(J, d, F) -> float:
+    """Componentwise backward error max_i |J d + F|_i / (|J| |d| + |F|)_i of the
+    correction d (Oettli-Prager).  A row whose denominator is 0 has J d + F = 0."""
+    r = np.abs(J @ d + F)
+    scale = abs(J) @ np.abs(d) + np.abs(F)
+    return float(np.max(np.divide(r, scale, out=np.zeros_like(r), where=scale > 0.0)))
+
+
 def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = SolverConfig()):
     """Damped Newton for the weighted curvature equation; returns (u, report).
 
@@ -263,7 +272,9 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
             else:
                 lu = None  # freed before the next factorization runs
             continue
-        if not np.all(np.isfinite(d)) or lin_res > 1e3 * _LINEAR_TOL:
+        if not np.all(np.isfinite(d)) or (
+            lin_res > 1e3 * _LINEAR_TOL and _backward_error(J, d, F) > 1e3 * np.finfo(float).eps
+        ):
             raise SingularLinearization(
                 f"inner linear solve residual {lin_res:.3e} (relative) exceeds tolerance"
             )

@@ -61,6 +61,12 @@ def flagship_bg_g9(flagship_div):
 
 
 @pytest.fixture(scope="session")
+def flagship_bg_g12(flagship_div):
+    mesh = build_mesh(5, flagship_div, grading=12)
+    return build_background(flagship_div, mesh)
+
+
+@pytest.fixture(scope="session")
 def round_bg4():
     return build_background(Divisor(()), build_mesh(4))
 

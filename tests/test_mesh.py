@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 import conesphere.mesh as mesh_module
 from conesphere.diagnostics import football_divisor
-from conesphere.divisor import equatorial_divisor, flagship_divisor
+from conesphere.divisor import divisor, equatorial_divisor, flagship_divisor
 from conesphere.errors import MeshError, ShapeError
 from conesphere.mesh import (
     _icosahedron,
@@ -275,7 +275,12 @@ def test_batched_grading_matches_per_face_grading(monkeypatch, div, base, gradin
     # vertex bytes must be those of splitting one face at a time.
     mesh = build_mesh(base, div, grading=grading)
     monkeypatch.setattr(mesh_module, "_Grading", PerFaceGrading)
-    ref = build_mesh(base, div, grading=grading)
+    mesh_module._meshes.clear()  # else build_mesh returns `mesh` again
+    try:
+        ref = build_mesh(base, div, grading=grading)
+    finally:
+        mesh_module._meshes.clear()  # later builds must not get the reference
+    assert ref is not mesh
     assert ref.n_vertices > 10 * 4**base + 2  # the reference did grade
     assert mesh.faces.tobytes() == ref.faces.tobytes()
     assert mesh.vertices.tobytes() == ref.vertices.tobytes()
@@ -294,15 +299,17 @@ def test_orient_breaks_length_ties_by_the_larger_sorted_pair():
                                                  [2.0, 1.0, 2.0], [3.0, 2.0, 1.0]])
 
 
+CLOSE_DIV = equatorial_divisor([-0.3, -0.4, -0.5], gaps=[0.01, 1.0, 2 * math.pi - 1.01])
+
+
 def test_build_mesh_parameter_validation():
     div = flagship_divisor()
     with pytest.raises(MeshError):
         build_mesh(3, div, grading=-1)
     with pytest.raises(MeshError):
         build_mesh(3, div, grading=1, grading_radius=0.0)
-    close = equatorial_divisor([-0.3, -0.4, -0.5], gaps=[0.01, 1.0, 2 * math.pi - 1.01])
     with pytest.raises(MeshError):
-        build_mesh(3, close)
+        build_mesh(3, CLOSE_DIV)
 
 
 @pytest.mark.parametrize("base_level, grading", [(2, math.nan), (2, 2.5), (2.5, 1), (math.nan, 1)],
@@ -323,6 +330,66 @@ def test_build_mesh_rejects_nan_grading_radius():
     # NaN passed the old `<= 0` test and gave the ungraded mesh
     with pytest.raises(MeshError):
         build_mesh(3, flagship_divisor(), grading=2, grading_radius=math.nan)
+
+
+def test_equal_arguments_return_one_mesh():
+    # the exponents do not enter the mesh, so they do not enter the key
+    div = flagship_divisor()
+    mesh = build_mesh(3, div, grading=2)
+    other = divisor(div.positions, -0.5 * np.ones(len(div)))
+    assert build_mesh(3, div, grading=2) is mesh
+    assert build_mesh(3, other, grading=2) is mesh
+
+
+ZERO_DIV = divisor([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [-0.3, -0.4])
+NEG_ZERO_DIV = divisor([[0.0, 0.0, 1.0], [1.0, -0.0, 0.0]], [-0.3, -0.4])
+
+
+@pytest.mark.parametrize("args", [(3, ZERO_DIV, 1, 0.3), (2, ZERO_DIV, 2, 0.3),
+                                  (2, ZERO_DIV, 1, 0.4), (2, NEG_ZERO_DIV, 1, 0.3)],
+                         ids=["level", "grading", "radius", "negative-zero"])
+def test_a_changed_key_field_builds_a_fresh_mesh(args):
+    mesh = build_mesh(2, ZERO_DIV, 1, 0.3)
+    assert build_mesh(*args) is not mesh
+
+
+def test_negative_zero_positions_give_other_vertex_bytes():
+    # 0.0 == -0.0, but snapping writes the sign into the vertices
+    a, b = build_mesh(2, ZERO_DIV, 1, 0.3), build_mesh(2, NEG_ZERO_DIV, 1, 0.3)
+    assert np.array_equal(a.vertices, b.vertices)
+    assert a.vertices.tobytes() != b.vertices.tobytes()
+
+
+def test_cached_mesh_arrays_are_read_only():
+    mesh = build_mesh(2, flagship_divisor(), grading=1)
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.vertices[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.areas *= 2.0
+    W = mesh.stiffness
+    for a in (mesh.faces, mesh.cone_vertices, W.data, W.indices, W.indptr):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("args", [(-1,), (2, None, 1, math.nan), (3, CLOSE_DIV)],
+                         ids=["level", "radius", "close-cones"])
+def test_invalid_arguments_fail_on_every_call(args):
+    for _ in range(2):
+        with pytest.raises(MeshError):
+            build_mesh(*args)
+
+
+def test_the_least_recently_used_mesh_is_dropped():
+    # without cones the radius changes only the key; level 1 builds fast
+    def build(radius):
+        return build_mesh(1, grading_radius=radius)
+
+    a, b = build(0.1), build(0.2)
+    build(0.3), build(0.4)
+    assert build(0.1) is a  # four meshes fit; a is now the most recent
+    build(0.5)  # a fifth drops b, the least recently used
+    assert build(0.1) is a
+    assert build(0.2) is not b
 
 
 def reference_dissection(points, nbrs, part):
@@ -350,7 +417,9 @@ def test_ordering_is_the_cached_nested_dissection():
     assert np.array_equal(order, expected)
     assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
     assert mesh.ordering() is order
-    assert np.array_equal(build_mesh(3, div, grading=2).ordering(), order)
+    mesh_module._meshes.clear()
+    again = build_mesh(3, div, grading=2)
+    assert again is not mesh and np.array_equal(again.ordering(), order)
 
 
 def reference_adjacency(n_verts, faces):

@@ -454,6 +454,26 @@ def test_constant_target_converges_at_grading_9(flagship_bg_g9):
     assert rep.gauss_bonnet_residual < 5e-4
 
 
+def test_constant_target_converges_at_grading_12(flagship_bg_g12):
+    # J's diagonal reaches 1.8e11 here, so once sup|F| < 1 the rounding floor
+    # eps |J| |d| of J d + F lies above the relative threshold; without the
+    # backward-error test this ended in ContinuationStall at t = 0
+    bg = flagship_bg_g12
+    _, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
+    assert rep.converged and not rep.warnings
+    assert rep.newton_iterations_total <= 6
+    assert rep.linear_residual > 1e3 * solver._LINEAR_TOL  # the relative test alone fails
+    assert rep.gauss_bonnet_residual < 5e-4
+
+
+def test_backward_error_scales_each_row_by_its_own_terms():
+    J = scipy.sparse.diags([1e12, 1.0, 0.0]).tocsc()
+    F = np.array([1.0, 1.0, 0.0])
+    d = np.array([-1e-12 * (1.0 + 1e-6), -1.0, 5.0])
+    # row 0 misses by 1e-6 of terms summing to 2, row 1 is exact, row 2 is 0 / 0
+    assert solver._backward_error(J, d, F) == pytest.approx(0.5e-6, rel=1e-6)
+
+
 def test_continuation_step_control(flagship_bg_small, monkeypatch):
     # three Newton iterations are too few for the full step: it is halved,
     # and the halved step is kept for the rest of the path
