@@ -35,7 +35,6 @@ from .errors import (
     ConfigError,
     ContinuationStall,
     DomainError,
-    GeometryError,
     MeshError,
     NewtonDivergence,
     NonPositiveTarget,

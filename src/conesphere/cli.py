@@ -153,7 +153,7 @@ def _section(raw, schema, context) -> dict:
 
 _JOB = {"divisor": _as_divisor, "target": {"type": "constant", "value": 1.0}, "mesh": {},
         "weights": None, "solver": {}, "outputs": {}}
-_MESH = {"base_level": 4, "grading_levels": 0, "grading_radius": 0.3, "cutoff_radius": 1.2}
+_MESH = {"base_level": 4, "grading_levels": 0, "grading_radius": 0.3}
 _SOLVER = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 _WEIGHTS = {"gamma": _as_floats, "alpha": 0.5, "k": 0}
 _OUTPUTS = {"fields": True, "mesh_off": False}
@@ -212,7 +212,7 @@ class Job:
             grading=params["grading_levels"],
             grading_radius=params["grading_radius"],
         )
-        bg = build_background(self.divisor, mesh, cutoff_radius=params["cutoff_radius"])
+        bg = build_background(self.divisor, mesh)
         return mesh, bg
 
     def resolve_target(self, bg):
@@ -301,22 +301,14 @@ def cmd_check(args) -> int:
 
 
 def _cone_entries(bg, u):
-    """Per cone, in divisor order: its vertex, the radius of its 1-ring
-    against the radius of the inner harmonic zone, and u there."""
+    """Per cone, in divisor order: its vertex, the radius of its 1-ring, and u there."""
     mesh = bg.mesh
     W = mesh.stiffness
     entries = []
-    for c, point, profile in zip(mesh.cone_vertices, bg.divisor.points, bg.profiles):
+    for c, point in zip(mesh.cone_vertices, bg.divisor.points):
         row = W.indices[W.indptr[c] : W.indptr[c + 1]]  # c and its 1-ring
         radius = float(np.max(geodesic_distance(mesh.vertices[row], point.position)))
-        delta = float(profile.delta)
-        entries.append({
-            "vertex": int(c),
-            "ring_radius": radius,
-            "harmonic_radius": delta,
-            "ring_in_harmonic_zone": radius < delta,
-            "u": float(u[c]),
-        })
+        entries.append({"vertex": int(c), "ring_radius": radius, "u": float(u[c])})
     return entries
 
 
@@ -337,19 +329,13 @@ def cmd_solve(args) -> int:
     payload["solver"] = report
     payload["n_vertices"] = mesh.n_vertices
     payload["cones"] = _cone_entries(bg, u)
-    outside = [i for i, cone in enumerate(payload["cones"]) if not cone["ring_in_harmonic_zone"]]
-    if outside:
-        payload["warnings"] = [
-            f"the 1-ring of cones {outside} reaches past the inner harmonic zone, where the "
-            "data term at the cone vertex is exact; raise mesh.grading_levels"
-        ]
     if manufactured is not None:
         payload["manufactured_error"] = float(np.max(np.abs(u - manufactured)))
     if job.config["outputs"]["fields"]:
         achieved = curvature_map(bg, u, cone_tol=np.inf)
         write_csv(os.path.join(args.out, "u.csv"), mesh, u)
         write_csv(os.path.join(args.out, "k_achieved.csv"), mesh, achieved)
-        write_csv(os.path.join(args.out, "rho.csv"), mesh, bg.rho)
+        write_csv(os.path.join(args.out, "rho.csv"), mesh, bg.rho_pow_2beta)
         write_csv(os.path.join(args.out, "k_beta.csv"), mesh, bg.k_beta)
     if job.config["outputs"]["mesh_off"]:
         write_off(os.path.join(args.out, "mesh.off"), mesh)
@@ -413,7 +399,7 @@ def _football_example(k, out_dir) -> int:
     # grading transitions is not pointwise consistent, so the nodewise
     # curvature check runs on an ungraded mesh instead
     graded = build_mesh(5, div, grading=3)
-    bg = build_background(div, graded, cutoff_radius=1.5)
+    bg = build_background(div, graded)
     w = exact_football(k, graded)
     # w is the log factor against the round metric, so e^{2w} is already the
     # full area density (zero at the poles by the -inf convention)
@@ -460,9 +446,8 @@ def _triangle_example(angles, out_dir) -> int:
         "euler_characteristic": euler_characteristic(div),
         "symmetry_group_order": len(maps),
     }
-    # a conical background (and with it the total-curvature certificate)
-    # exists only when disjoint curvature-absorbing balls fit around the
-    # vertices; sharp triangles fail that, so report it as unavailable
+    # every triangle here has chi > 0 and so a background; only a mesh that
+    # cannot snap two close vertices leaves the certificate unavailable
     try:
         mesh = build_mesh(5, div, grading=2)
         bg = build_background(div, mesh)

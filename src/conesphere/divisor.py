@@ -265,13 +265,9 @@ def equatorial_divisor(betas, gaps=None) -> Divisor:
 
 
 def flagship_divisor() -> Divisor:
-    """The (-0.3, -0.4, -0.5) divisor at well-separated equatorial positions.
-
-    The gaps are chosen so that disjoint curvature-absorbing balls large
-    enough for each exponent fit around every cone point (the beta = -0.5
-    ball needs geodesic radius > acos(0.5), which a generic placement does
-    not leave room for).
-    """
+    """The (-0.3, -0.4, -0.5) divisor at three unequally spaced equatorial
+    positions (azimuth gaps 1.9547 and 2.2384 rad): the reference case of the
+    tests, the README and the benchmark."""
     g01, g12 = 1.9547, 2.2384
     return equatorial_divisor(
         [-0.3, -0.4, -0.5], gaps=[g01, g12, 2.0 * math.pi - g01 - g12]

@@ -21,10 +21,6 @@ class MeshError(ConesphereError):
     """Mesh construction failed (bad parameters or degenerate geometry)."""
 
 
-class GeometryError(ConesphereError):
-    """Geometric preconditions violated (overlapping cone neighborhoods, degenerate fits)."""
-
-
 class BackgroundError(ConesphereError):
     """Conical background construction could not keep its curvature positive."""
 

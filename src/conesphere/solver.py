@@ -5,8 +5,8 @@ conical weight:
 
     F(u) = e^{-2u} (m - Lap u) - G = 0
 
-with m = 1 - beta * Lap log rho and the data term G = rho^{2 beta} K.  All
-assembled coefficients are bounded (m is smooth and positive, the weight
+with m = 1 - beta * Lap log rho = chi / 2 and the data term G = rho^{2 beta} K.
+All assembled coefficients are bounded (m is a positive constant, the weight
 sits on the data term), which keeps rows near the cones well scaled.  A
 root of F is a root of the curvature map equation pi(u) = K wherever the
 weight is nonzero, i.e. at every non-cone node.
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .background import ConicalBackground, curvature_map, gauss_bonnet, _smoothstep
+from .background import ConicalBackground, curvature_map, gauss_bonnet
 from .divisor import geodesic_distance, solver_scope_check
 from .errors import (
     ContinuationStall,
@@ -135,9 +135,10 @@ def _product_field(bg: ConicalBackground, K):
 
     At a cone vertex the pointwise product is 0 * inf with a finite limit,
     estimated by averaging the product over the 1-ring.  For targets of
-    background type (K = rho^{-2 beta} * smooth) the ring sits inside the
-    harmonic zone where the product equals the smooth factor exactly, so
-    the extension is exact for the identity and manufactured targets."""
+    background type (K = rho^{-2 beta} * smooth) the product is that smooth
+    factor; rho^{2 beta} k_beta = chi / 2 at every node, so the extension is
+    exact for the identity target on any mesh, and for the manufactured
+    target wherever its factor vanishes on the ring."""
     G = bg.rho_pow_2beta * K
     W = bg.mesh.stiffness
     for c in bg.mesh.cone_vertices:
@@ -359,20 +360,27 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
     )
 
 
-def pinned_test_factor(bg: ConicalBackground, north: float = 1.0, south: float = 0.0):
-    """A smooth pinned grid function supported in the cone-free polar caps,
-    scaled so that the manufactured curvature pi(v) stays positive.
+def _smoothstep(t):
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
-    Useful as a manufactured-solution factor: it vanishes (with two
-    derivatives) before reaching any cone neighborhood, so pi(v) > 0 reduces
-    to m - Lap v > 0, which the scaling enforces with a 50% margin.
+
+def pinned_test_factor(bg: ConicalBackground, north: float = 1.0, south: float = 0.0):
+    """A smooth pinned grid function supported in two polar caps, scaled so
+    that the manufactured curvature pi(v) stays positive.
+
+    Useful as a manufactured-solution factor.  Each cap's radius is a quarter
+    of the smallest cone-to-pole distance (pi/8 for equatorial cones), so v
+    vanishes (with two derivatives) well away from every cone.  pi(v) > 0
+    reduces to m - Lap v > 0, which the scaling enforces with a 50% margin.
     """
     if not (np.isfinite(north) and np.isfinite(south)):
         raise DomainError(f"pinned test factor scales must be finite, got {north}, {south}")
     mesh = bg.mesh
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    clearance = geodesic_distance(bg.divisor.positions[:, None], poles) - bg.cone_radii[:, None]
-    cap = float(np.min(clearance - 0.02, initial=np.pi / 2.0))
+    # pi/2 without cones
+    to_pole = geodesic_distance(bg.divisor.positions[:, None], poles)
+    cap = 0.25 * float(np.min(to_pole, initial=2.0 * np.pi))
     if cap <= 0.1:
         raise DomainError("no cone-free polar cap available for a pinned test factor")
 

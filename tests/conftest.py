@@ -21,11 +21,7 @@ def flagship_div():
 
 @pytest.fixture(scope="session")
 def flagship_bg_small(flagship_div):
-    """Flagship divisor on a cheap mesh, for unit tests.
-
-    Grading 3 puts the whole first ring of every cone vertex inside the
-    inner harmonic zone, where the cone-row closure of the solver is exact.
-    """
+    """Flagship divisor on a cheap mesh (base 4, grading 3), for unit tests."""
     mesh = build_mesh(4, flagship_div, grading=3)
     return build_background(flagship_div, mesh)
 
@@ -100,7 +96,7 @@ def football2_graded():
 def football3_graded():
     div = football_divisor(3)
     mesh = build_mesh(5, div, grading=3)
-    bg = build_background(div, mesh, cutoff_radius=1.5)
+    bg = build_background(div, mesh)
     return bg, exact_football(3, mesh)
 
 

@@ -13,7 +13,8 @@ from conesphere.background import (
     mean_laplacian_zero,
 )
 from conesphere.divisor import ConePoint, Divisor, equatorial_divisor, flagship_divisor
-from conesphere.errors import GeometryError, NormalizationError, ShapeError
+from conesphere.divisor import divisor, euler_characteristic
+from conesphere.errors import BackgroundError, NormalizationError, ShapeError
 from conesphere.mesh import build_mesh
 
 from conftest import random_pinned
@@ -21,18 +22,15 @@ from conftest import random_pinned
 
 def test_background_fields_sane(flagship_bg_small):
     bg = flagship_bg_small
-    assert np.all(bg.m_field > 0.0)
+    half_chi = 0.5 * euler_characteristic(bg.divisor)
+    assert np.all(bg.m_field == half_chi)
     free = np.ones(bg.n_vertices, bool)
     free[bg.cone_vertices] = False
     assert np.all(bg.k_beta[free] > 0.0)
-    # conical weight vanishes at the cones, rho is 1 far away
+    # conical weight vanishes at the cones; off them the gauge makes the
+    # curvature density rho^{2 beta} k_beta the constant chi / 2
     assert np.all(bg.rho_pow_2beta[bg.cone_vertices] == 0.0)
-    far = np.ones(bg.n_vertices, bool)
-    for p, r in zip(bg.divisor.positions, bg.cone_radii):
-        d = np.arccos(np.clip(bg.mesh.vertices @ p, -1, 1))
-        far &= d > r + 1e-9
-    assert np.allclose(bg.rho[far], 1.0, atol=1e-14)
-    assert np.allclose(bg.m_field[far], 1.0, atol=1e-14)
+    assert np.allclose(bg.rho_pow_2beta[free] * bg.k_beta[free], half_chi, rtol=1e-14)
 
 
 def test_rho_powers_are_consistent(flagship_bg_small):
@@ -43,18 +41,11 @@ def test_rho_powers_are_consistent(flagship_bg_small):
     assert np.allclose(prod, 1.0, atol=1e-12)
 
 
-def test_overlapping_cones_rejected():
-    tight = equatorial_divisor([-0.5, -0.5, -0.5])  # equal spacing is too tight
-    mesh = build_mesh(4, tight)
-    with pytest.raises(GeometryError):
-        build_background(tight, mesh)
-
-
-def test_nan_cutoff_radius_rejected():
-    # NaN passed the old `<= 0` test and gave NaN radii and no cones
-    div = flagship_divisor()
-    with pytest.raises(GeometryError):
-        build_background(div, build_mesh(3, div), cutoff_radius=math.nan)
+def test_nonpositive_euler_characteristic_rejected():
+    # four cones at beta = -0.6 on a regular tetrahedron: chi = -0.4
+    tetra = divisor([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], [-0.6] * 4)
+    with pytest.raises(BackgroundError, match="Euler characteristic"):
+        build_background(tetra, build_mesh(2, tetra))
 
 
 def test_mesh_of_another_divisor_rejected():
@@ -122,20 +113,21 @@ def test_empty_divisor_background(round_bg4):
 
 
 def test_zero_exponent_point_is_no_cone():
-    # 2 beta log rho was 0 * -inf at a beta = 0 point: an invalid-value
-    # warning (an error in this suite), and the point's cell mass was dropped
+    # a beta = 0 point adds no factor: its vertex keeps the weights of the
+    # other cones, and with them its cell mass in every quadrature
     div = equatorial_divisor([-0.3, 0.0, -0.5])
     bg = build_background(div, build_mesh(3, div))
     smooth, cones = bg.cone_vertices[1], bg.cone_vertices[[0, 2]]
-    assert bg.rho_pow_2beta[smooth] == bg.rho_pow_neg2beta[smooth] == 1.0
-    assert bg.k_beta[smooth] == 1.0
+    pos, neg = bg.rho_pow_2beta[smooth], bg.rho_pow_neg2beta[smooth]
+    assert 0.0 < pos < np.inf and 0.0 < neg < np.inf
+    assert pos * neg == pytest.approx(1.0, rel=1e-15)
+    assert bg.k_beta[smooth] == neg * 0.5 * euler_characteristic(div)
     assert np.all(bg.rho_pow_2beta[cones] == 0.0) and np.all(bg.rho_pow_neg2beta[cones] == 0.0)
 
 
 def test_log_rho_is_minus_inf_at_every_cone():
-    # a rotated flagship divisor; the first position's product with the mesh
-    # rows can round below 1, which left its own vertex at a distance of
-    # about 1.5e-8 and log rho finite there
+    # a rotated flagship divisor; its first position once left its own
+    # vertex 1.5e-8 off the point, at a finite log rho
     positions = (
         [0.024852246985358151, 0.91283266334818514, -0.40757685722380949],
         [0.8550033585418321, -0.4980930546906626, -0.14447340845675377],
@@ -143,5 +135,9 @@ def test_log_rho_is_minus_inf_at_every_cone():
     )
     div = Divisor(tuple(ConePoint(np.array(p), b) for p, b in zip(positions, (-0.3, -0.4, -0.5))))
     bg = build_background(div, build_mesh(3, div))
-    assert np.all(bg.log_rho[bg.cone_vertices] == -np.inf)
-    assert np.all(bg.rho[bg.cone_vertices] == 0.0)
+    # the same mesh serves points up to 1e-12 off its cone vertices, where
+    # sin(d / 2) is not 0; both weights are 0 at every cone all the same
+    nudged = divisor(div.positions + 1e-13, div.betas)
+    for bg in (bg, build_background(nudged, bg.mesh)):
+        assert np.all(bg.rho_pow_2beta[bg.cone_vertices] == 0.0)
+        assert np.all(bg.rho_pow_neg2beta[bg.cone_vertices] == 0.0)

@@ -96,6 +96,8 @@ def test_unknown_keys_exit_2(tmp_path):
                    {"max_step_halvings": 10}, {"linear_tol": 1e-12}):
         path = write_config(tmp_path, flagship_config(solver=solver))
         assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
+    path = write_config(tmp_path, flagship_config(mesh={"base_level": 4, "cutoff_radius": 1.2}))
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
 
 
 def test_bad_position_exits_2(tmp_path):
@@ -192,7 +194,7 @@ def _kind(name):
 
 
 MESH_SECTION = _section({}, {"base_level": LEVEL, "grading_levels": LEVEL,
-                             "grading_radius": POSITIVE, "cutoff_radius": POSITIVE})
+                             "grading_radius": POSITIVE})
 TARGET_SECTION = st.one_of(
     _section({"type": _kind("constant"), "value": POSITIVE}),
     _section({"type": _kind("expression")}, {key: NUMBER for key in "abcd"}),
@@ -272,28 +274,21 @@ def test_solve_reports_are_deterministic(tmp_path):
 
 @pytest.mark.parametrize("grading", [0, 3])
 def test_solve_reports_cone_rings(tmp_path, grading):
-    # base 4: at grading 0 every cone's 1-ring reaches past the inner
-    # harmonic zone, at grading 3 every 1-ring lies inside it
+    # the cone row's data term is exact for background-type targets on any
+    # mesh, so no grading draws a warning
     cfg = flagship_config(mesh={"base_level": 4, "grading_levels": grading},
                           outputs={"fields": False})
     path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
     rep = read_report(tmp_path, "solve.json")["report"]
     cones = rep["cones"]
-    assert len(cones) == 3
+    assert [sorted(cone) for cone in cones] == [["ring_radius", "u", "vertex"]] * 3
+    # base 4 gives 1-rings 0.07 to 0.10 wide; each grading level halves them
     for cone in cones:
-        assert 0.0 < cone["harmonic_radius"] < 0.05
-        assert cone["ring_in_harmonic_zone"] == (cone["ring_radius"] < cone["harmonic_radius"])
+        assert 0.06 < cone["ring_radius"] * 2**grading < 0.12
         assert math.isfinite(cone["u"])
     assert len({cone["vertex"] for cone in cones}) == 3
-    inside = [cone["ring_in_harmonic_zone"] for cone in cones]
-    if grading == 0:
-        assert inside == [False, False, False]
-        [warning] = rep["warnings"]
-        assert "[0, 1, 2]" in warning and "grading_levels" in warning
-    else:
-        assert inside == [True, True, True]
-        assert "warnings" not in rep
+    assert "warnings" not in rep
 
 
 @pytest.mark.parametrize("a, b", [
@@ -452,6 +447,16 @@ def test_gauss_bonnet_command(tmp_path):
     assert rep["gauss_bonnet"]["residual"] < 0.01
 
 
+def test_gauss_bonnet_without_a_background_exits_1(tmp_path, capsys):
+    # four cones at beta = -0.6 on a regular tetrahedron: chi = -0.4
+    corners = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+    cfg = flagship_config(mesh={"base_level": 2}, divisor=[
+        {"position": [c / math.sqrt(3.0) for c in corner], "beta": -0.6} for corner in corners])
+    path = write_config(tmp_path, cfg)
+    assert main(["gauss-bonnet", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "BackgroundError: Euler characteristic" in capsys.readouterr().err
+
+
 def test_example_triangle(tmp_path):
     args = ["example", "--name", "triangle", "--angles", "2.0", "2.0", "2.0",
             "--out", str(tmp_path)]
@@ -459,6 +464,16 @@ def test_example_triangle(tmp_path):
     rep = read_report(tmp_path, "example.json")["report"]
     assert rep["symmetry_group_order"] == 6
     assert rep["euler_characteristic"] > 0.0
+    # its vertices are too close for disjoint balls around each, which the
+    # background once needed
+    assert "gauss_bonnet_unavailable" not in rep
+    assert rep["gauss_bonnet"]["residual"] < 1e-4
+    # an angle sum just above pi puts the vertices too close for the mesh
+    assert main(["example", "--name", "triangle", "--angles", "1.0472", "1.0472", "1.047201",
+                 "--out", str(tmp_path)]) == 0
+    rep = read_report(tmp_path, "example.json")["report"]
+    assert rep["gauss_bonnet"] is None
+    assert rep["gauss_bonnet_unavailable"].startswith("MeshError")
     # a non-finite angle exits 2, as a NaN or inf anywhere in a job does
     for bad in ("nan", "inf"):
         args[4] = bad

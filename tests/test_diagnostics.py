@@ -111,7 +111,7 @@ def test_exact_football_area_and_poles():
 
 
 def test_football_example_converges():
-    # the `example --name football --k 3` setting (grading 3, cutoff 1.5) at
+    # the `example --name football --k 3` setting (grading 3) at
     # two base levels: the area and first-eigenvalue errors must both fall
     div = football_divisor(3)
     errors = []
@@ -119,7 +119,7 @@ def test_football_example_converges():
         mesh = build_mesh(base, div, grading=3)
         w = exact_football(3, mesh)
         area = float(np.sum(np.exp(2.0 * w) * mesh.areas))
-        bg = build_background(div, mesh, cutoff_radius=1.5)
+        bg = build_background(div, mesh)
         lam1 = spectrum(bg, 4, weighted=False, log_factor=w).eigenvalues[1]
         errors.append((abs(area - 4.0 * math.pi / 3) / (4.0 * math.pi / 3), abs(lam1 - 2.0)))
     (area3, lam3), (area4, lam4) = errors

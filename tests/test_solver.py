@@ -300,6 +300,9 @@ def test_pinned_test_factor_properties(flagship_bg_small):
     bg = flagship_bg_small
     v = pinned_test_factor(bg)
     assert np.all(v[bg.cone_vertices] == 0.0)
+    # caps of a quarter of the cone-to-pole distance, pi/8 for equatorial cones
+    polar = np.arcsin(np.abs(bg.mesh.vertices[:, 2]))
+    assert np.all(v[polar <= np.pi / 2 - np.pi / 8] == 0.0) and np.any(v != 0.0)
     free = np.ones(bg.n_vertices, bool)
     free[bg.cone_vertices] = False
     assert np.all(curvature_map(bg, v)[free] > 0.0)
