@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .divisor import Divisor, euler_characteristic, geodesic_distance
 from .errors import BackgroundError, NormalizationError, ShapeError
 from .mesh import SphereMesh
+from .moebius import _project_hom, conformal_distortion, moebius_from_triples
 
 
 @dataclass
@@ -144,3 +146,51 @@ def mean_laplacian_zero(bg: ConicalBackground, f: np.ndarray) -> float:
     cancel = bg.rho_pow_neg2beta * bg.rho_pow_2beta
     cancel[bg.cone_vertices] = 1.0
     return float(np.sum(bg.mesh.laplace(f) * cancel * bg.mesh.areas))
+
+
+def _three_cone_log_factor(w, betas, lib=None):
+    """Log factor against the round metric, at chart points w, of the
+    curvature-1 metric with cone exponents betas at w = 0, 1, inf (Eremenko,
+    Proc. AMS 132, 2004), developed by y1 = w^{1-c} F(a-c+1, b-c+1; 2-c; w)
+    and y2 = F(a, b; c; w).  a = -chi/2, and 1+a-c, c-b and b are half of
+    Troyanov's margins, taken as troyanov_check takes them.  The monodromy
+    keeps h |y1|^2 + |y2|^2, h = -A21 A22 / (A11 A12) from Kummer's connection
+    coefficients (DLMF 15.10.21-22); ValueError unless h > 0, the condition for
+    the metric to exist.  Only moduli enter, so no branch is chosen.  lib
+    supplies hyp2f1, gamma and log: mpmath's, or scipy's and numpy's."""
+    if lib is None:
+        import scipy.special  # here, not at import: only three-cone solves need it
+
+        lib = SimpleNamespace(hyp2f1=scipy.special.hyp2f1, gamma=scipy.special.gamma, log=np.log)
+    b0, b1, b_inf = betas
+    total = b0 + b1 + b_inf
+    m0, m1, m_inf = 2 * b0 - total, 2 * b1 - total, 2 * b_inf - total
+    a, b, c = -(2 + total) / 2, m_inf / 2, -b0
+    g = lib.gamma
+    h = -(g(c) ** 2 * g(1 - a) * g(1 - b) * g(m0 / 2) * g(1 + b - c)
+          / (g(2 - c) ** 2 * g(a) * g(b) * g(1 - m0 / 2) * g(m1 / 2)))
+    if not h > 0:
+        raise ValueError(f"no spherical metric with cone exponents {tuple(betas)}: h = {h}")
+    y1 = abs(w) ** (1 - c) * abs(lib.hyp2f1(m0 / 2, b - c + 1, 2 - c, w))
+    y2 = abs(lib.hyp2f1(a, b, c, w))
+    log_wronskian = lib.log(1 + b0) - c * lib.log(abs(w)) + b1 * lib.log(abs(1 - w))
+    return lib.log(h) / 2 + log_wronskian + lib.log(1 + abs(w) ** 2) - lib.log(y2**2 + h * y1**2)
+
+
+def three_cone_factor(bg: ConicalBackground) -> np.ndarray:
+    """u_1: the exact u of the curvature-1 metric with bg's three cones, on
+    every node.  At a non-cone node it is the metric's log factor, its cones
+    moved to w = 0, 1, inf, minus 1/2 log rho^{2 beta}; a cone vertex takes
+    the mean over its 1-ring."""
+    mesh = bg.mesh
+    free = np.setdiff1d(np.arange(bg.n_vertices), mesh.cone_vertices)
+    phi = moebius_from_triples(bg.divisor.positions, [[0, 0, -1], [1, 0, 0], [0, 0, 1]])
+    x = mesh.vertices[free]
+    z, s = _project_hom(x)
+    w = (phi.a * z + phi.b * s) / (phi.c * z + phi.d * s)  # phi(x) in the chart
+    u = np.empty(bg.n_vertices)
+    u[free] = (_three_cone_log_factor(w, bg.divisor.betas)
+               + np.log(conformal_distortion(phi, x)) + 0.5 * np.log(bg.rho_pow_neg2beta[free]))
+    for c in mesh.cone_vertices:
+        u[c] = np.mean(u[mesh.ring(c)])
+    return u

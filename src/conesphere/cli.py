@@ -303,11 +303,9 @@ def cmd_check(args) -> int:
 def _cone_entries(bg, u):
     """Per cone, in divisor order: its vertex, the radius of its 1-ring, and u there."""
     mesh = bg.mesh
-    W = mesh.stiffness
     entries = []
     for c, point in zip(mesh.cone_vertices, bg.divisor.points):
-        row = W.indices[W.indptr[c] : W.indptr[c + 1]]  # c and its 1-ring
-        radius = float(np.max(geodesic_distance(mesh.vertices[row], point.position)))
+        radius = float(np.max(geodesic_distance(mesh.vertices[mesh.ring(c)], point.position)))
         entries.append({"vertex": int(c), "ring_radius": radius, "u": float(u[c])})
     return entries
 

@@ -496,6 +496,12 @@ class SphereMesh:
             self._lap_edges = (coo.row[off], coo.col[off], -coo.data[off])
         return self._lap_edges
 
+    def ring(self, v) -> np.ndarray:
+        """The 1-ring of node v: the nodes it shares a stiffness entry with."""
+        W = self.stiffness
+        row = W.indices[W.indptr[v] : W.indptr[v + 1]]
+        return row[row != v]
+
     def ordering(self) -> np.ndarray:
         """Fill-reducing order of the nodes for sparse LU of matrices with the
         stiffness pattern: a nested-dissection permutation, computed once."""

@@ -23,8 +23,8 @@ flux balance kills that mode.  For targets of background type (the
 identity and manufactured targets, whose data term is exact on the 1-ring)
 the computed apex values then vanish, recovering the pinned normalization.
 For other targets they need not: for K = 1 + 0.3x on the flagship divisor,
-max |u| over the cone vertices is 0.554 at base 4 and 0.559 at base 5 /
-grading 5.
+max |u| over the cone vertices is 1.128 at base 4 and 1.132 at base 5 /
+grading 5 (newton_tol 1e-8).
 
 Newton's residual is max_i |A_i F_i| / mean(A), A the node areas: Lap u = W u / A
 gives the pointwise sup|F| a rounding floor 4x higher per grading level.
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .background import ConicalBackground, curvature_map, gauss_bonnet
+from .background import ConicalBackground, curvature_map, gauss_bonnet, three_cone_factor
 from .divisor import geodesic_distance, solver_scope_check
 from .errors import (
     ContinuationStall,
@@ -78,7 +78,9 @@ class SolverReport:
     """What a solve did.  final_residual_sup is the area-weighted residual Newton
     stopped on, final_residual_pointwise max|F| there; newton_iterations_total
     counts LU factorizations of the Jacobian, chord_steps steps with a kept LU;
-    linear_residual is the largest |J d + F| / max(1, sup|F|) over corrections d."""
+    linear_residual is the largest |J d + F| / max(1, sup|F|) over corrections d;
+    base_point names the known metric continuation_solve started from,
+    "background" or "constant_curvature" (empty for a bare Newton solve)."""
 
     converged: bool
     final_residual_sup: float
@@ -90,6 +92,7 @@ class SolverReport:
     continuation_path: list = field(default_factory=list)  # (t, iterations, residual)
     gauss_bonnet_residual: float = float("nan")
     warnings: list = field(default_factory=list)
+    base_point: str = ""
 
 
 def _free_nodes(bg: ConicalBackground) -> np.ndarray:
@@ -140,10 +143,8 @@ def _product_field(bg: ConicalBackground, K):
     exact for the identity target on any mesh, and for the manufactured
     target wherever its factor vanishes on the ring."""
     G = bg.rho_pow_2beta * K
-    W = bg.mesh.stiffness
     for c in bg.mesh.cone_vertices:
-        row = W.indices[W.indptr[c] : W.indptr[c + 1]]  # c and its 1-ring
-        G[c] = float(np.mean(G[row[row != c]]))
+        G[c] = float(np.mean(G[bg.mesh.ring(c)]))
     return G
 
 
@@ -307,9 +308,14 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
 
 
 def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = SolverConfig()):
-    """March from the known root (u, K) = (0, K_beta) to K_target along the
-    log-linear curvature path, warm-starting Newton (to cfg.newton_tol) at
-    each step.
+    """March from a known root (u, K) to K_target along the log-linear
+    curvature path, warm-starting Newton (to cfg.newton_tol) at each step.
+
+    Two roots are known: the background (0, k_beta) and, for three cones, the
+    constant-curvature metric (u_1 - c/2, e^c), u_1 = three_cone_factor(bg) and
+    c the mean of log K_target off the cones.  The path starts at the root
+    nearer in max |log K_target - log K| off the cones, at the background if
+    u_1 is not finite; the report's base_point names it.
 
     Step rule: the first step is the whole path, t = 0 to 1.  A step whose
     Newton solve fails (NewtonDivergence or SingularLinearization) is halved
@@ -323,15 +329,20 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
         raise ScopeError(f"divisor outside solver scope: {asdict(scope)}")
     free = _free_nodes(bg)
 
+    u, base_point = np.zeros(bg.n_vertices), "background"
     log_k0 = np.log(bg.k_beta[free])
     log_k1 = np.log(K[free])
+    c = float(np.mean(log_k1))
+    if len(bg.divisor) == 3 and np.max(np.abs(log_k1 - c)) < np.max(np.abs(log_k1 - log_k0)):
+        u1 = three_cone_factor(bg)
+        if np.all(np.isfinite(u1)):
+            u, base_point, log_k0 = u1 - 0.5 * c, "constant_curvature", np.full_like(log_k1, c)
 
     def K_at(t):
         Kt = np.zeros(bg.n_vertices)
         Kt[free] = np.exp((1.0 - t) * log_k0 + t * log_k1)
         return Kt
 
-    u = np.zeros(bg.n_vertices)
     t = 0.0
     dt = 1.0
     steps, warnings = [], []  # steps: (t, report) of each accepted step
@@ -351,7 +362,7 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
         steps.append((t, rep))
     # the loop ends on an accepted step, whose report already certifies u
     return u, replace(
-        rep, warnings=warnings,
+        rep, warnings=warnings, base_point=base_point,
         newton_iterations_total=sum(r.newton_iterations_total for _, r in steps),
         chord_steps=sum(r.chord_steps for _, r in steps),
         refinement_steps=sum(r.refinement_steps for _, r in steps),

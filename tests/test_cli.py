@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,9 +322,11 @@ def test_solve_reports_chord_steps(tmp_path, capsys):
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
     rep = read_report(tmp_path, "solve.json")["report"]["solver"]
     assert rep["chord_steps"] >= 1
+    assert rep["base_point"] == "background"  # a manufactured target is of background type
     printed = capsys.readouterr().out.splitlines()
     assert f"newton_iterations_total: {rep['newton_iterations_total']}" in printed
     assert f"chord_steps: {rep['chord_steps']}" in printed
+    assert "base_point: background" in printed
 
 
 def test_solve_prints_linear_residual_and_refinement_steps(tmp_path, capsys):
@@ -329,9 +334,20 @@ def test_solve_prints_linear_residual_and_refinement_steps(tmp_path, capsys):
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
     rep = read_report(tmp_path, "solve.json")["report"]["solver"]
     assert 0.0 < rep["linear_residual"] <= 1e-9 and rep["refinement_steps"] > 0
+    assert rep["base_point"] == "constant_curvature"
     printed = capsys.readouterr().out.splitlines()
     assert f"linear_residual: {rep['linear_residual']}" in printed
     assert f"refinement_steps: {rep['refinement_steps']}" in printed
+    assert "base_point: constant_curvature" in printed
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special costs 25 ms to import; only the three-cone start uses it,
+    # so at import time it would cost every command, diagnostics included
+    src = Path(conesphere.cli.__file__).resolve().parents[1]
+    code = "import sys, conesphere.cli; sys.exit('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_solve_grid_target(tmp_path):

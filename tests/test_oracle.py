@@ -1,62 +1,23 @@
 """The solver against the exact three-cone metric of curvature 1."""
 
-import types
+import itertools
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conesphere.background import build_background
-from conesphere.divisor import equatorial_divisor, flagship_divisor, solver_scope_check
+from conesphere.background import _three_cone_log_factor, build_background, three_cone_factor
+from conesphere.divisor import divisor, equatorial_divisor, flagship_divisor, solver_scope_check
 from conesphere.mesh import build_mesh
-from conesphere.moebius import _project_hom, conformal_distortion, moebius_from_triples
-from conesphere.solver import SolverConfig, continuation_solve
-
-_SCIPY = types.SimpleNamespace(hyp2f1=scipy.special.hyp2f1, gamma=scipy.special.gamma, log=np.log)
-
-
-def three_cone_log_factor(w, alphas, lib=_SCIPY):
-    """Log factor against the round metric, at chart points w, of the
-    curvature-1 metric with cone angles 2 pi alphas at w = 0, 1, inf
-    (Eremenko, Proc. AMS 132, 2004).
-
-    y1 = w^{1-c} F(a-c+1, b-c+1; 2-c; w) and y2 = F(a, b; c; w) develop it.
-    Its monodromy keeps the form h |y1|^2 + |y2|^2, with h = -A21 A22 / (A11 A12)
-    from Kummer's connection coefficients (DLMF 15.10.21-22); h > 0 exactly
-    when the metric exists.  Only moduli enter, so no branch is chosen.  lib
-    supplies hyp2f1, gamma and log: scipy's and numpy's, or mpmath."""
-    a0, a1, a_inf = alphas
-    a, b, c = (1 - a0 - a1 - a_inf) / 2, (1 - a0 - a1 + a_inf) / 2, 1 - a0
-    g = lib.gamma
-    h = -(g(c) ** 2 * g(1 - a) * g(1 - b) * g(1 + a - c) * g(1 + b - c)
-          / (g(2 - c) ** 2 * g(a) * g(b) * g(c - a) * g(c - b)))
-    if not h > 0:
-        raise ValueError(f"no spherical metric with cone angles 2 pi {tuple(alphas)}: h = {h}")
-    y1 = abs(w) ** (1 - c) * abs(lib.hyp2f1(a - c + 1, b - c + 1, 2 - c, w))
-    y2 = abs(lib.hyp2f1(a, b, c, w))
-    log_wronskian = lib.log(a0) - c * lib.log(abs(w)) + (c - a - b - 1) * lib.log(abs(1 - w))
-    return lib.log(h) / 2 + log_wronskian + lib.log(1 + abs(w) ** 2) - lib.log(y2**2 + h * y1**2)
-
-
-def exact_three_cone(bg):
-    """The non-cone nodes of bg and the exact u there for K = 1: the metric's
-    log factor, its cones moved to w = 0, 1, inf, minus 1/2 log rho^{2 beta}."""
-    free = np.setdiff1d(np.arange(bg.n_vertices), bg.cone_vertices)
-    phi = moebius_from_triples(bg.divisor.positions, [[0, 0, -1], [1, 0, 0], [0, 0, 1]])
-    x = bg.mesh.vertices[free]
-    z, s = _project_hom(x)
-    w = (phi.a * z + phi.b * s) / (phi.c * z + phi.d * s)  # phi(x) in the chart
-    log_factor = three_cone_log_factor(w, 1.0 + bg.divisor.betas)
-    log_factor += np.log(conformal_distortion(phi, x))
-    return free, log_factor + 0.5 * np.log(bg.rho_pow_neg2beta[free])
+from conesphere.solver import SolverConfig, _free_nodes, continuation_solve
 
 
 def oracle_error(bg):
     u, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
     assert rep.converged
-    free, exact = exact_three_cone(bg)
-    return float(np.max(np.abs(u[free] - exact)))
+    free = _free_nodes(bg)
+    return float(np.max(np.abs(u[free] - three_cone_factor(bg)[free])))
 
 
 @pytest.mark.parametrize("w", [
@@ -66,16 +27,16 @@ def oracle_error(bg):
 ])
 def test_log_factor_matches_mpmath(w):
     with mpmath.workdps(30):
-        alphas = [mpmath.mpf(s) for s in ("0.7", "0.6", "0.5")]
-        exact = float(three_cone_log_factor(mpmath.mpc(w), alphas, lib=mpmath))
-    value = three_cone_log_factor(np.array([complex(w)]), np.array([0.7, 0.6, 0.5]))
+        betas = [mpmath.mpf(s) for s in ("-0.3", "-0.4", "-0.5")]
+        exact = float(_three_cone_log_factor(mpmath.mpc(w), betas, lib=mpmath))
+    value = _three_cone_log_factor(np.array([complex(w)]), np.array([-0.3, -0.4, -0.5]))
     assert value[0] == pytest.approx(exact, abs=1e-14)
 
 
 def test_angles_without_a_metric_are_rejected():
     # (-0.9, -0.1, -0.2) fails Troyanov's condition: h = -0.97
     with pytest.raises(ValueError, match="no spherical metric"):
-        three_cone_log_factor(np.array([0.5j]), 1.0 + np.array([-0.9, -0.1, -0.2]))
+        _three_cone_log_factor(np.array([0.5j]), np.array([-0.9, -0.1, -0.2]))
 
 
 def test_flagship_unit_curvature_converges_to_the_exact_metric(flagship_bg_g5):
@@ -99,3 +60,36 @@ def test_divisors_without_disjoint_cone_balls_solve(betas):
                     for base, grading in ((3, 2), (4, 3)))
     # measured: 1.36e-2 and 5.16e-3, 5.40e-2 and 3.72e-2
     assert fine < coarse < 0.06
+
+
+UNIT_VECTORS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def troyanov_exponents(draw):
+    """Three exponents -x_i in (-1, 0) whose x_i satisfy the triangle
+    inequality, which is Troyanov's condition for three cones."""
+    x1, x2, f = draw(OPEN_UNIT), draw(OPEN_UNIT), draw(OPEN_UNIT)
+    lo, hi = abs(x1 - x2), min(1.0, x1 + x2)
+    x3 = lo + f * (hi - lo)
+    assume(0.0 < x3 < 1.0)  # rounding can reach either end
+    return -x1, -x2, -x3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(positions=st.tuples(*[UNIT_VECTORS] * 3), betas=troyanov_exponents())
+# a Troyanov margin of 2.2e-16: 1 + a - c rounded to 0, and h to inf, when
+# the hypergeometric parameters were taken from the angles 1 + beta_i
+@example(positions=(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
+                    np.array([0.0, 1.0, 0.0])),
+         betas=(-0.99999, -0.37926601877988575, -0.6207239812201143))
+def test_every_three_cone_divisor_in_scope_has_a_finite_factor(positions, betas):
+    # the solver may start from u_1 on any divisor it accepts: h > 0 there
+    # (three_cone_factor raises otherwise) and u_1 is finite at every node
+    assume(all(np.linalg.norm(p - q) > 0.5 for p, q in itertools.combinations(positions, 2)))
+    div = divisor(positions, betas)
+    assume(solver_scope_check(div).passed)
+    u1 = three_cone_factor(build_background(div, build_mesh(3, div)))
+    assert np.all(np.isfinite(u1))

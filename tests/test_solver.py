@@ -8,8 +8,9 @@ import pytest
 import scipy.sparse.linalg
 
 from conesphere import diagnostics, solver
-from conesphere.background import curvature_map, gauss_bonnet
+from conesphere.background import build_background, curvature_map, gauss_bonnet, three_cone_factor
 from conesphere.diagnostics import kernel_gap, spectrum
+from conesphere.divisor import flagship_divisor
 from conesphere.errors import (
     ConesphereError,
     ContinuationStall,
@@ -20,6 +21,7 @@ from conesphere.errors import (
     SingularLinearization,
     SpectralError,
 )
+from conesphere.mesh import build_mesh
 from conesphere.solver import (
     SolverConfig,
     _jacobian,
@@ -157,7 +159,9 @@ def test_linear_residual_is_reported(flagship_bg_small, monkeypatch):
         return u, rep
 
     monkeypatch.setattr(solver, "newton_solve", spy)
-    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 3)
+    # from the constant-curvature start two factorizations do the whole path:
+    # one per Newton solve forces halvings, so the path has several steps
+    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 1)
     _, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
     assert len(steps) > 1
     assert 0.0 < rep.linear_residual <= 1e3 * solver._LINEAR_TOL == 1e-9
@@ -254,7 +258,7 @@ def test_counts_are_summed_over_the_path(flagship_bg_small, monkeypatch):
         return u, rep
 
     monkeypatch.setattr(solver, "newton_solve", spy)
-    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 3)
+    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 1)  # forces halvings
     _, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
     assert len(steps) == len(rep.continuation_path) > 1
     assert rep.newton_iterations_total == sum(s.newton_iterations_total for s in steps)
@@ -458,15 +462,78 @@ def test_constant_target_converges_at_grading_9(flagship_bg_g9):
 
 
 def test_constant_target_converges_at_grading_12(flagship_bg_g12):
-    # J's diagonal reaches 1.8e11 here, so once sup|F| < 1 the rounding floor
-    # eps |J| |d| of J d + F lies above the relative threshold; without the
-    # backward-error test this ended in ContinuationStall at t = 0
     bg = flagship_bg_g12
     _, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
     assert rep.converged and not rep.warnings
     assert rep.newton_iterations_total <= 6
+    assert rep.gauss_bonnet_residual < 5e-4
+
+
+def test_backward_error_accepts_corrections_at_grading_12(flagship_bg_g12):
+    # J's diagonal reaches 1.8e11 here, so once sup|F| < 1 the rounding floor
+    # eps |J| |d| of J d + F lies above the relative threshold and only the
+    # backward-error test accepts a correction.  K = 1 showed this from the
+    # background start, where without that test it ended in ContinuationStall
+    # at t = 0; from its constant-curvature start the relative test passes.
+    # This target keeps the background start.
+    bg = flagship_bg_g12
+    K = bg.k_beta * (1.0 + 0.2 * bg.mesh.vertices[:, 0])
+    _, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-8))
+    assert rep.base_point == "background"
+    assert rep.converged and not rep.warnings
+    assert rep.newton_iterations_total <= 6
     assert rep.linear_residual > 1e3 * solver._LINEAR_TOL  # the relative test alone fails
     assert rep.gauss_bonnet_residual < 5e-4
+
+
+def test_deep_grading_converges_without_halving():
+    # from the background start this took 8 factorizations and one step
+    # halving, and grading 24 ended in ContinuationStall
+    div = flagship_divisor()
+    bg = build_background(div, build_mesh(5, div, grading=22))
+    _, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
+    assert rep.base_point == "constant_curvature"
+    assert rep.converged and not rep.warnings
+    assert rep.newton_iterations_total <= 3
+
+
+def test_apex_values_of_a_linear_target(flagship_div, flagship_bg_g5):
+    # the module docstring's figures: max |u| over the cone vertices
+    cfg = SolverConfig(newton_tol=1e-8)
+    for bg, expected in ((build_background(flagship_div, build_mesh(4, flagship_div)), 1.128),
+                         (flagship_bg_g5, 1.132)):
+        u, _ = continuation_solve(bg, 1.0 + 0.3 * bg.mesh.vertices[:, 0], cfg)
+        assert np.max(np.abs(u[bg.cone_vertices])) == pytest.approx(expected, abs=5e-4)
+
+
+def test_non_finite_constant_curvature_start_falls_back(flagship_bg_small, monkeypatch):
+    # started from a NaN in u_1, every Newton solve of the path fails and the
+    # path ends in ContinuationStall
+    bg = flagship_bg_small
+    K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
+    u_ref, rep_ref = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
+    assert rep_ref.base_point == "constant_curvature"
+
+    def with_nan(bg):
+        u1 = three_cone_factor(bg)
+        u1[bg.n_vertices // 2] = np.nan
+        return u1
+
+    monkeypatch.setattr(solver, "three_cone_factor", with_nan)
+    u, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
+    assert rep.base_point == "background"
+    assert rep.converged and rep.final_residual_sup <= 1e-9
+    assert np.max(np.abs(u - u_ref)) <= 1e-8
+
+
+def test_background_type_target_keeps_the_background_start(flagship_bg_small, monkeypatch):
+    # the manufactured target equals k_beta near the cones: the background is
+    # the nearer start, and u_1 is never computed
+    bg = flagship_bg_small
+    monkeypatch.setattr(solver, "three_cone_factor", None)
+    K = curvature_map(bg, pinned_test_factor(bg, north=1.0, south=0.4))
+    _, rep = continuation_solve(bg, K)
+    assert rep.base_point == "background"
 
 
 def test_backward_error_scales_each_row_by_its_own_terms():
@@ -478,8 +545,8 @@ def test_backward_error_scales_each_row_by_its_own_terms():
 
 
 def test_continuation_step_control(flagship_bg_small, monkeypatch):
-    # three Newton iterations are too few for the full step: it is halved,
-    # and the halved step is kept for the rest of the path
+    # one factorization is too few for the full step: it is halved, and the
+    # halved step is kept for the rest of the path
     bg = flagship_bg_small
     K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
     targets = []
@@ -490,7 +557,7 @@ def test_continuation_step_control(flagship_bg_small, monkeypatch):
         return newton(bg, K_t, u0, cfg)
 
     monkeypatch.setattr(solver, "newton_solve", spy)
-    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 3)
+    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 1)
     _, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
     assert rep.final_residual_sup <= 1e-9
     assert rep.warnings
@@ -500,9 +567,8 @@ def test_continuation_step_control(flagship_bg_small, monkeypatch):
     assert np.all(np.diff(t) > 0.0) and t[-1] == 1.0
     # each halving shortens every later step, so the last step shows them all
     assert np.diff(t)[-1] == 0.5 ** len(rep.warnings)
-    # one iteration is too few for every step down to 1/8
-    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 1)
-    monkeypatch.setattr(solver, "_CONTINUATION_HALVINGS", 3)
+    # ... it takes steps of 1/8, so with steps no shorter than 1/4 the path stalls
+    monkeypatch.setattr(solver, "_CONTINUATION_HALVINGS", len(rep.warnings) - 1)
     with pytest.raises(ContinuationStall):
         continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
 
@@ -512,7 +578,7 @@ def test_continuation_reports_certificate_of_its_solution(flagship_bg_small, mon
     # certificate must still be that of the returned u
     bg = flagship_bg_small
     K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
-    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 3)
+    monkeypatch.setattr(solver, "_MAX_FACTORIZATIONS", 1)  # forces halvings
     u, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-9))
     assert rep.warnings
     assert rep.gauss_bonnet_residual == gauss_bonnet(bg, u, cone_tol=np.inf).residual
