@@ -177,13 +177,20 @@ def _three_cone_log_factor(w, betas, lib=None):
     return lib.log(h) / 2 + log_wronskian + lib.log(1 + abs(w) ** 2) - lib.log(y2**2 + h * y1**2)
 
 
+def _free_nodes(bg: ConicalBackground) -> np.ndarray:
+    """The non-cone nodes, ascending."""
+    mask = np.ones(bg.n_vertices, dtype=bool)
+    mask[bg.cone_vertices] = False
+    return np.flatnonzero(mask)
+
+
 def three_cone_factor(bg: ConicalBackground) -> np.ndarray:
     """u_1: the exact u of the curvature-1 metric with bg's three cones, on
     every node.  At a non-cone node it is the metric's log factor, its cones
     moved to w = 0, 1, inf, minus 1/2 log rho^{2 beta}; a cone vertex takes
     the mean over its 1-ring."""
     mesh = bg.mesh
-    free = np.setdiff1d(np.arange(bg.n_vertices), mesh.cone_vertices)
+    free = _free_nodes(bg)
     phi = moebius_from_triples(bg.divisor.positions, [[0, 0, -1], [1, 0, 0], [0, 0, 1]])
     x = mesh.vertices[free]
     z, s = _project_hom(x)

@@ -16,11 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .background import ConicalBackground
+from .background import ConicalBackground, _free_nodes
 from .divisor import ConePoint, Divisor, geodesic_distance
 from .errors import DomainError, ShapeError, SingularLinearization, SpectralError
 from .mesh import SphereMesh
-from .solver import _factor, _free_nodes, linearize
+from .solver import _factor, linearize
 
 _EIG_SEED = 20260826
 

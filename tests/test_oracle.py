@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conesphere.background import _three_cone_log_factor, build_background, three_cone_factor
+from conesphere.background import (
+    _free_nodes,
+    _three_cone_log_factor,
+    build_background,
+    three_cone_factor,
+)
 from conesphere.divisor import divisor, equatorial_divisor, flagship_divisor, solver_scope_check
 from conesphere.mesh import build_mesh
-from conesphere.solver import SolverConfig, _free_nodes, continuation_solve
+from conesphere.solver import SolverConfig, continuation_solve
 
 
 def oracle_error(bg):
