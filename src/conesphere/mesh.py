@@ -12,7 +12,6 @@ so they sum to the exact sphere area 4*pi up to roundoff.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,7 +161,9 @@ def _orient(tri, lens):
     """Faces `tri` rotated longest edge first, with their edge lengths (row i
     of `lens` holds those of edges ab, bc, ca of face i).  Edges are keyed
     (length, lo * n + hi), so equal lengths go to the larger sorted pair and
-    the two faces on an edge agree on it."""
+    the two faces on an edge agree on it.  Vertex ids break only exact ties;
+    on the graded meshes measured, every such tie lay among base vertices,
+    whose ids do not depend on the order of the splits."""
     nxt = tri[:, [1, 2, 0]]
     pair = np.minimum(tri, nxt) * (int(tri.max()) + 1) + np.maximum(tri, nxt)
     turn = (np.lexsort((pair, lens))[:, -1:] + np.arange(3)) % 3
@@ -171,138 +172,138 @@ def _orient(tri, lens):
 
 # A split of (a, b, c) and its neighbour (b, a, d) at the midpoint m of ab
 # leaves (a, m, c), (m, b, c), (b, m, d) and (m, a, d); row k lists the edge
-# lengths of child k as columns of [am, mb, mc, md, ca, bc, db, ad].
+# lengths of child k as columns of [am, mb, mc, md, ca, bc, db, ad], and the
+# faces across its edges as columns of [child 0-3, across ca, bc, db, ad].
 _CHILD_LENGTHS = np.array([[0, 2, 4], [1, 5, 2], [1, 3, 6], [0, 7, 3]])
+_CHILD_NBRS = np.array([[3, 1, 4], [2, 5, 0], [1, 3, 6], [0, 7, 2]])
+_OUTER = np.array([2, 1, 2, 1])  # child k's edge, and its parent's, that faces out
+
+
+def _grown(a, n):
+    """`a` if it has n rows, else a copy of it with room for 2n rows."""
+    if n <= len(a):
+        return a
+    b = np.empty((2 * n, *a.shape[1:]), a.dtype)
+    b[: len(a)] = a
+    return b
 
 
 class _Grading:
-    """Conforming longest-edge (Rivara) bisection on flat buffers.
+    """Conforming longest-edge (Rivara) bisection, a round of splits at a time.
 
-    Faces are appended to `faces` (flat int64), with a live flag in `alive`.
-    `half[a][b]` is the live face that owns directed edge ab, so the mesh
-    must be closed and consistently oriented, as icosphere meshes are.  (One
-    small dict per vertex, not one large one, keeps the process's peak
-    memory down.)  A split records topology only: it numbers the midpoint
-    and appends the four child faces, the split's corners to `ends` and the
-    edge lengths it already knows to `known`.  `_flush` then computes the
-    geometry of every pending split in numpy batches: the midpoints, their
-    distances to the corners, and for each new face f `rec[f]`, the face
-    rotated longest edge first with its three edge lengths, and `longest[f]`.
-    Faces f >= len(rec) are pending.  Vertices never move, so each edge
-    length is computed once, over `_unique_edges` or when the edge is made,
-    and handed down to the faces that share it.
+    Row f of `T` is a face rotated longest edge first by `_orient`, `L[f]`
+    the lengths of its edges ab, bc, ca and `N[f]` the faces across them, so
+    the mesh must be closed, as icosphere meshes are; `alive` flags faces not
+    yet split, among the first `nf` rows (and `nv` vertices) in use.  Each
+    edge length is computed once and handed down to the faces that share it.
     """
 
     def __init__(self, verts, faces):
         self.verts = np.array(verts, dtype=float)
         self.nv = len(verts)
-        self.faces = array("q", faces.ravel().tolist())
-        self.alive = bytearray(b"\1") * len(faces)
-        self.longest = array("d")
-        self.rec = []
-        self.ends = array("q")  # a, b, c, d of each pending split
-        self.known = array("d")  # |ca|, |bc|, |db|, |ad| of each pending split
-        self.half = [{} for _ in range(len(verts))]
-        for f, (a, b, c) in enumerate(faces.tolist()):
-            self.half[a][b] = self.half[b][c] = self.half[c][a] = f
         edges, inv = _unique_edges(faces)
         length = _row_norms(self.verts[edges[:, 0]] - self.verts[edges[:, 1]])
-        self._record(faces, length[inv].reshape(-1, 3))
+        self.h_base = float(length.max())
+        twins = np.argsort(inv, kind="stable").reshape(-1, 2)  # the two slots of each edge
+        across = np.empty(3 * len(faces), dtype=np.int64)
+        across[twins] = twins[:, ::-1] // 3
+        self.nf = 0
+        self.T = np.empty((0, 3), dtype=np.int64)
+        self.L = np.empty((0, 3))
+        self.N = np.empty((0, 3), dtype=np.int64)
+        self.alive = np.empty(0, dtype=bool)
+        self._append(faces, length[inv].reshape(-1, 3), across.reshape(-1, 3))
 
-    def _record(self, tri, lens):
-        tri, lens = _orient(tri, lens)
-        self.rec.extend(zip(*tri.T.tolist(), *lens.T.tolist()))
-        self.longest.extend(lens[:, 0].tolist())
+    def _append(self, tri, lens, nbrs):
+        """Append the faces `tri` rotated longest edge first, with the lengths
+        of their edges ab, bc, ca and the faces across them."""
+        rot, lens = _orient(tri, lens)
+        turn = np.argmax(tri == rot[:, :1], axis=1)
+        nbrs = np.take_along_axis(nbrs, (turn[:, None] + np.arange(3)) % 3, axis=1)
+        f, n = self.nf, self.nf + len(tri)
+        self.T, self.L, self.N, self.alive = (
+            _grown(a, n) for a in (self.T, self.L, self.N, self.alive))
+        self.T[f:n], self.L[f:n], self.N[f:n], self.alive[f:n] = rot, lens, nbrs, True
+        self.nf = n
 
-    def _flush(self):
-        """Compute the pending midpoints and edge lengths; orient the pending
-        faces.  `_row_norms` gives a row the same bits alone or in a batch, so
-        batching changes no mesh."""
-        if not self.ends:
-            return
-        ends = np.array(self.ends).reshape(-1, 4)
-        m0 = self.nv - len(ends)
-        if self.nv > len(self.verts):
-            grown = np.empty((2 * self.nv, 3))
-            grown[:m0] = self.verts[:m0]
-            self.verts = grown
+    def _split(self, t):
+        """Split each face t = (a, b, c) and its neighbour (b, a, d) across
+        their common longest edge ab at its midpoint."""
+        T, L, N = self.T, self.L, self.N
+        nb = N[t, 0]
+        ends = np.column_stack([T[t], T[nb, 2]])  # a, b, c, d
+        m = self.nv + np.arange(len(t))
+        self.verts = _grown(self.verts, m[-1] + 1)
         r = self.verts[ends]
         p = r[:, 0] + r[:, 1]
         p /= _row_norms(p)[:, None]
-        self.verts[m0 : self.nv] = p
-        lens = np.hstack([_row_norms(r - p[:, None]), np.array(self.known).reshape(-1, 4)])
-        tri = np.frombuffer(self.faces, dtype=np.int64)[3 * len(self.rec) :].reshape(-1, 3)
-        self._record(tri, lens[:, _CHILD_LENGTHS].reshape(-1, 3))
-        del self.ends[:], self.known[:]
-
-    def bisect(self, fid):
-        """Conforming bisection of one face by longest-edge propagation."""
-        rec, half, alive = self.rec, self.half, self.alive
-        stack = [fid]
-        guard = 0
-        while stack:
-            guard += 1
-            if guard > 100000:
-                raise MeshError("longest-edge propagation failed to terminate")
-            t = stack[-1]
-            if not alive[t]:
-                stack.pop()
-                continue
-            a, b, c, _, lbc, lca = rec[t]
-            nb = half[b][a]
-            if nb >= len(rec):
-                self._flush()
-            if rec[nb][:2] != (b, a):
-                stack.append(nb)
-                continue
-            # split t = (a, b, c) and nb = (b, a, d) at the midpoint m of ab
-            d, lad, ldb = rec[nb][2], rec[nb][4], rec[nb][5]
-            m, f = self.nv, len(alive)
-            self.nv += 1
-            half.append({})
-            alive[t] = alive[nb] = 0
-            del half[a][b], half[b][a]
-            for i, (p, q, s) in enumerate(((a, m, c), (m, b, c), (b, m, d), (m, a, d)), f):
-                half[p][q] = half[q][s] = half[s][p] = i
-            self.faces.extend((a, m, c, m, b, c, b, m, d, m, a, d))
-            alive.extend(b"\1\1\1\1")
-            self.ends.extend((a, b, c, d))
-            self.known.extend((lca, lbc, ldb, lad))
-            stack.pop()
+        self.verts[m] = p
+        self.nv += len(t)
+        lens = np.hstack([_row_norms(r - p[:, None]), L[t][:, [2, 1]], L[nb][:, [2, 1]]])
+        a, b, c, d = ends.T
+        tri = np.stack([a, m, c, m, b, c, b, m, d, m, a, d], axis=1).reshape(-1, 3)
+        kids = self.nf + np.arange(4 * len(t)).reshape(-1, 4)
+        outer = np.column_stack([N[t, 2], N[t, 1], N[nb, 2], N[nb, 1]])
+        nbrs = np.hstack([kids, outer])[:, _CHILD_NBRS].reshape(-1, 3)
+        # Repoint the outer neighbours at the children.  For one split in this
+        # round too, its dead row's slot for the edge names its child there.
+        parent = np.column_stack([t, t, nb, nb]).ravel()
+        kid, outer, col = kids.ravel(), outer.ravel(), np.tile(_OUTER, len(t))
+        slot = np.argmax(N[outer] == parent[:, None], axis=1)
+        self.alive[t] = self.alive[nb] = False
+        N[parent, col] = kid
+        split = ~self.alive[outer]
+        N[outer[~split], slot[~split]] = kid[~split]
+        nbrs[kid[split] - self.nf, col[split]] = N[outer[split], slot[split]]
+        self._append(tri, lens[:, _CHILD_LENGTHS].reshape(-1, 3), nbrs)
 
     def sweep(self, pos, cos_r, target):
-        """Bisect, in id order, every live face that touches the ball
-        {x : x . pos >= cos_r} and whose longest edge is at least `target`.
-        Returns whether any face qualified."""
-        self._flush()
-        near = self.verts[: self.nv] @ pos >= cos_r
-        f = np.frombuffer(self.faces, dtype=np.int64).reshape(-1, 3)
-        todo = np.flatnonzero(
-            np.frombuffer(self.alive, dtype=bool)
-            & (near[f[:, 0]] | near[f[:, 1]] | near[f[:, 2]])
-            & (np.frombuffer(self.longest) >= target)
-        ).tolist()
-        del f  # the buffers cannot grow while numpy views them
-        for fid in todo:
-            if self.alive[fid]:
-                self.bisect(fid)
-        return len(todo) > 0
+        """Bisect every live face that touches the ball {x : x . pos >= cos_r}
+        and whose longest edge is at least `target`, and what conformity needs:
+        each round splits the terminal pairs (two faces whose longest edge is
+        the one they share) of the marked faces' closure under "the face
+        across my longest edge".  Returns whether any face qualified."""
+        nf = self.nf
+        near = (self.verts[: self.nv] @ pos >= cos_r)[self.T[:nf].ravel()].reshape(-1, 3)
+        marked = np.flatnonzero(
+            self.alive[:nf] & (near[:, 0] | near[:, 1] | near[:, 2]) & (self.L[:nf, 0] >= target)
+        )
+        hit = len(marked) > 0
+        while len(marked):
+            N = self.N
+            closed = np.zeros(self.nf, dtype=bool)
+            closed[marked] = True
+            front = marked
+            while len(front):
+                front = N[front, 0]
+                front = front[~closed[front]]
+                closed[front] = True
+            t = np.flatnonzero(closed)
+            if not self.alive[t].all():  # broken adjacency: fail, not grow without end
+                raise MeshError("a longest edge leads to a face already split")
+            nb = N[t, 0]
+            t = t[(N[nb, 0] == t) & (t < nb)]
+            if not len(t):
+                raise MeshError("longest-edge propagation found no pair to split")
+            self._split(t)
+            marked = marked[self.alive[marked]]
+        return hit
 
     def arrays(self):
-        self._flush()
-        faces = np.frombuffer(self.faces, dtype=np.int64).reshape(-1, 3)
-        return self.verts[: self.nv].copy(), faces[np.frombuffer(self.alive, dtype=bool)]
+        return self.verts[: self.nv].copy(), self.T[: self.nf][self.alive[: self.nf]]
 
 
-def _grade_mesh(verts, faces, positions, grading, grading_radius, h_base):
+def _grade_mesh(verts, faces, positions, grading, grading_radius):
     """Refine around each cone position in turn: `grading` levels, level l
-    halving edges down to h_base / 2**(l+1) within grading_radius / 2**l."""
+    halving edges down to h_base / 2**(l+1) within grading_radius / 2**l,
+    where h_base is the longest edge of the base mesh.  The faces are those
+    of splitting the marked faces one at a time, in any order; splitting a
+    round at a time decides only how the midpoints and faces are numbered."""
     g = _Grading(verts, faces)
     for pos in positions:
         for level in range(grading):
-            radius = grading_radius * 0.5**level
-            target = h_base * 0.5 ** (level + 1)
-            cos_r = math.cos(min(radius, math.pi))
+            cos_r = math.cos(min(grading_radius * 0.5**level, math.pi))
+            target = g.h_base * 0.5 ** (level + 1)
             while g.sweep(pos, cos_r, target):
                 pass
     return g.arrays()
@@ -556,11 +557,8 @@ def _build_mesh(base_level, div, positions, grading, grading_radius):
     else:
         cone_ids = []
 
-    e = _face_edges(faces)
-    h_base = float(np.max(np.linalg.norm(verts[e[:, 0]] - verts[e[:, 1]], axis=1)))
-
     if grading > 0 and len(positions):
-        verts, faces = _grade_mesh(verts, faces, positions, grading, grading_radius, h_base)
+        verts, faces = _grade_mesh(verts, faces, positions, grading, grading_radius)
 
     cot = _corner_cotangents(verts, faces)
     W = cotan_stiffness(faces, cot, len(verts))
