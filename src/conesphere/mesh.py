@@ -213,6 +213,8 @@ class _Grading:
         self.N = np.empty((0, 3), dtype=np.int64)
         self.alive = np.empty(0, dtype=bool)
         self._append(faces, length[inv].reshape(-1, 3), across.reshape(-1, 3))
+        # the last sweep's (centre, cos radius, nf) and the live faces touching it
+        self.ball, self.touching = (None, 0.0, 0), None
 
     def _append(self, tri, lens, nbrs):
         """Append the faces `tri` rotated longest edge first, with the lengths
@@ -262,12 +264,19 @@ class _Grading:
         and whose longest edge is at least `target`, and what conformity needs:
         each round splits the terminal pairs (two faces whose longest edge is
         the one they share) of the marked faces' closure under "the face
-        across my longest edge".  Returns whether any face qualified."""
+        across my longest edge".  Returns whether any face qualified.  Inside
+        the last sweep's ball (same centre, radius no larger), only the faces
+        that touched that ball and those made since can touch this one."""
         nf = self.nf
-        near = (self.verts[: self.nv] @ pos >= cos_r)[self.T[:nf].ravel()].reshape(-1, 3)
-        marked = np.flatnonzero(
-            self.alive[:nf] & (near[:, 0] | near[:, 1] | near[:, 2]) & (self.L[:nf, 0] >= target)
-        )
+        centre, cos_last, seen = self.ball
+        rows = np.arange(nf)
+        if np.array_equal(pos, centre) and cos_r >= cos_last:
+            rows = np.concatenate([self.touching, rows[seen:]])
+        rows = rows[self.alive[rows]]
+        near = (self.verts[: self.nv] @ pos >= cos_r)[self.T[rows]]
+        self.touching = rows[near[:, 0] | near[:, 1] | near[:, 2]]
+        self.ball = pos, cos_r, nf
+        marked = self.touching[self.L[self.touching, 0] >= target]
         hit = len(marked) > 0
         while len(marked):
             N = self.N

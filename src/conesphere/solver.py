@@ -61,8 +61,8 @@ _MAX_FACTORIZATIONS = 25
 _CONTINUATION_HALVINGS = 10
 # refinement steps of one Newton correction, at most
 _REFINEMENT_STEPS = 5
-# refinement stops at 10 * _LINEAR_TOL * sup|F|; a correction is singular unless
-# sup|J d + F| <= 1e3 * _LINEAR_TOL * max(1, sup|F|), J and F the row-scaled system
+# a fresh LU's correction is refined to 10 * _LINEAR_TOL * sup|F| and is singular
+# unless sup|J d + F| <= 1e3 * _LINEAR_TOL * max(1, sup|F|), J and F the row-scaled system
 _LINEAR_TOL = 1e-12
 
 
@@ -80,8 +80,10 @@ class SolverReport:
     """What a solve did.  final_residual_sup is the area-weighted residual Newton
     stopped on, final_residual_pointwise max|F| there; newton_iterations_total
     counts LU factorizations of the Jacobian, chord_steps steps with a kept LU;
-    linear_residual is the largest sup|J d + F| / max(1, sup|F|) over corrections d,
-    J and F with rows scaled by the node areas (module docstring);
+    linear_residual is the largest sup|J d + F| / max(1, sup|F|) over the corrections
+    d made with a fresh LU (those the singular test judges), J and F with rows
+    scaled by the node areas (module docstring); refinement_steps counts the
+    triangular solves beyond each correction's first;
     base_point names the known metric continuation_solve started from,
     "background" or "constant_curvature" (empty for a bare Newton solve)."""
 
@@ -202,18 +204,22 @@ def _factor(A: sp.csc_matrix, order: np.ndarray) -> _OrderedLU:
         raise SingularLinearization(f"sparse factorization failed: {exc}") from exc
 
 
-def _refined_solve(lu: _OrderedLU, J, F):
+def _refined_solve(lu: _OrderedLU, J, F, rel_tol=10 * _LINEAR_TOL):
     """The Newton correction d with J d = -F, solved with the LU in its own
     precision (float32 for Newton's row-scaled J), then refined, d -= LU^-1 (J d + F)
-    with J and F in float64, to the float64 floor: until sup|J d + F| is at most
-    10 * _LINEAR_TOL * sup|F|, stops falling, or after _REFINEMENT_STEPS."""
+    with J and F in float64, until sup|J d + F| is at most rel_tol * sup|F|, stops
+    falling, or after _REFINEMENT_STEPS.  A fresh LU's correction (the default)
+    goes to the float64 floor.  A chord correction's direction is already off
+    Newton's by the Jacobian's drift; at _CHORD_RATE**2 its linear residual costs
+    at most a tenth of the cut the chord test asks for."""
     d = lu.solve(-F)
-    tol, last = 10.0 * _LINEAR_TOL * float(np.max(np.abs(F))), np.inf
+    tol, last = rel_tol * float(np.max(np.abs(F))), np.inf
     for _ in range(_REFINEMENT_STEPS):
         r = J @ d + F
-        if not tol < np.max(np.abs(r)) < last:  # a NaN stops too
+        sup = np.max(np.abs(r))
+        if not tol < sup < last:  # a NaN stops too
             break
-        last = np.max(np.abs(r))
+        last = sup
         d -= lu.solve(r)
     return d
 
@@ -223,13 +229,14 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
 
     Residuals and the Jacobian's rows are area-weighted (module docstring); the
     Jacobian is factored in float32 and each correction refined in float64.  A
-    fresh LU whose correction misses the singular threshold (_LINEAR_TOL)
-    raises SingularLinearization; else its step goes through the residual line
-    search.  After a full step that cut the residual by _CHORD_RATE, the LU is
-    kept for a chord step: a full step, accepted only if it too cuts the
-    residual by _CHORD_RATE; else u stays and the Jacobian is factored afresh.
-    Newton stops once the residual is at most cfg.newton_tol, after at most
-    _MAX_FACTORIZATIONS factorizations."""
+    fresh LU's correction is refined to 10 * _LINEAR_TOL and raises
+    SingularLinearization if it misses 1e3 * _LINEAR_TOL; else its step goes
+    through the residual line search.  After a full step that cut the residual
+    by _CHORD_RATE, the LU is kept for a chord step: a full step, refined only
+    to _CHORD_RATE**2, accepted only if it too cuts the residual by _CHORD_RATE;
+    else u stays and the Jacobian is factored afresh.  Newton stops once the
+    residual is at most cfg.newton_tol, after at most _MAX_FACTORIZATIONS
+    factorizations."""
     K = _check_target(bg, K_target)
     u = bg._check(np.asarray(u0, dtype=float), "u0").copy()
     G = _product_field(bg, K)
@@ -251,14 +258,8 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
             lu = _factor(J.astype(np.float32), bg.mesh.ordering())
         aF = a * F
         solves = lu.solves
-        d = _refined_solve(lu, J, aF)
+        d = _refined_solve(lu, J, aF, 10 * _LINEAR_TOL if fresh else _CHORD_RATE**2)
         refinements += lu.solves - solves - 1
-        lin_res = float(np.max(np.abs(J @ d + aF))) / max(1.0, res)
-        if fresh and not lin_res <= 1e3 * _LINEAR_TOL:  # a NaN or inf in d fails too
-            raise SingularLinearization(
-                f"inner linear solve residual {lin_res:.3e} (relative) exceeds tolerance"
-            )
-        lin_worst = max(lin_worst, lin_res)  # a NaN is skipped: its chord step is never taken
         if not fresh:
             trial = u + d
             F_t, lap_t = _residual(bg, trial, G)
@@ -269,6 +270,12 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
             else:
                 lu = None  # freed before the next factorization runs
             continue
+        lin_res = float(np.max(np.abs(J @ d + aF))) / max(1.0, res)
+        if not lin_res <= 1e3 * _LINEAR_TOL:  # a NaN or inf in d fails too
+            raise SingularLinearization(
+                f"inner linear solve residual {lin_res:.3e} (relative) exceeds tolerance"
+            )
+        lin_worst = max(lin_worst, lin_res)
         step = 1.0
         for _ in range(_LINE_SEARCH_HALVINGS + 1):
             trial = u + step * d

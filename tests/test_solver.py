@@ -116,9 +116,9 @@ def test_damped_step_does_not_keep_the_lu(flagship_bg_small, monkeypatch):
         J = jacobian(bg, u, lap_u)
         return 0.5 * J if not made else J
 
-    def spy_solve(lu, J, F):
+    def spy_solve(lu, J, F, *rest):
         solves.append(len(made))
-        return refined(lu, J, F)
+        return refined(lu, J, F, *rest)
 
     monkeypatch.setattr(solver, "_residual", spy_residual)
     monkeypatch.setattr(solver, "_jacobian", spy_jacobian)
@@ -146,8 +146,8 @@ def test_linear_target_factorizations(flagship_bg_small, monkeypatch):
 
 
 def test_linear_residual_is_reported(flagship_bg_small, monkeypatch):
-    # every correction reaches the singular threshold 1e3 * _LINEAR_TOL; the
-    # path's report has the largest linear residual and the summed refinements
+    # every fresh correction reaches the singular threshold 1e3 * _LINEAR_TOL;
+    # the path's report has the largest linear residual and the summed refinements
     bg = flagship_bg_small
     K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
     steps = []
@@ -267,9 +267,9 @@ def test_failed_chord_step_refactors_at_same_u(flagship_bg_small, monkeypatch):
         jacobian_at.append(u)
         return jacobian(bg, u, lap_u)
 
-    def spy_solve(lu, J, F):
+    def spy_solve(lu, J, F, *rest):
         solves.append((len(made), len(residual_at)))
-        d = refined(lu, J, F)
+        d = refined(lu, J, F, *rest)
         # halve the first chord step: it then cuts the residual only twofold
         return 0.5 * d if len(solves) == 2 else d
 
@@ -284,6 +284,55 @@ def test_failed_chord_step_refactors_at_same_u(flagship_bg_small, monkeypatch):
     start = residual_at[solves[1][1] - 1]
     assert np.array_equal(jacobian_at[1], start)
     assert not np.array_equal(residual_at[solves[1][1]], start)
+
+
+def _record_corrections(monkeypatch):
+    """Wrap solver._refined_solve; the returned list gets, per correction,
+    whether its LU was fresh, the triangular solves it made, and its
+    sup|J d + F| / sup|F|."""
+    log, refined = [], solver._refined_solve
+
+    def spy(lu, J, F, *rest):
+        fresh, solves = lu.solves == 0, lu.solves
+        d = refined(lu, J, F, *rest)
+        log.append((fresh, lu.solves - solves, np.max(np.abs(J @ d + F)) / np.max(np.abs(F))))
+        return d
+
+    monkeypatch.setattr(solver, "_refined_solve", spy)
+    return log
+
+
+def test_chord_corrections_take_one_solve(flagship_bg_small, monkeypatch):
+    # a chord correction is refined only to _CHORD_RATE**2, which its first
+    # float32 solve reaches; a fresh one still to 10 * _LINEAR_TOL
+    bg = flagship_bg_small
+    v = pinned_test_factor(bg, north=1.0, south=0.4)
+    log = _record_corrections(monkeypatch)
+    u, rep = newton_solve(bg, curvature_map(bg, v), np.zeros(bg.n_vertices))
+    assert np.max(np.abs(u - v)) <= 1e-10
+    fresh = [c for c in log if c[0]]
+    chord = [c for c in log if not c[0]]
+    assert len(fresh) == rep.newton_iterations_total and len(chord) >= rep.chord_steps >= 1
+    assert all(solves == 1 for _, solves, _ in chord)
+    assert all(rel <= 10 * solver._LINEAR_TOL for _, _, rel in fresh)
+    assert rep.refinement_steps == sum(solves - 1 for _, solves, _ in log)
+
+
+def test_chord_correction_is_refined_when_one_solve_misses(flagship_bg_small, monkeypatch):
+    # Every factor is of 1.02 A: a solve then leaves 0.02 / 1.02 of the
+    # residual on every mode, so one solve misses _CHORD_RATE**2 and each
+    # refinement cuts it fiftyfold.  (A + c I errs by mode, and the row-scaled
+    # Jacobian has an eigenvalue near -1.)
+    bg = flagship_bg_small
+    v = pinned_test_factor(bg, north=1.0, south=0.4)
+    factor = solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda A, order: factor((1.02 * A).tocsc(), order))
+    log = _record_corrections(monkeypatch)
+    u, rep = newton_solve(bg, curvature_map(bg, v), np.zeros(bg.n_vertices))
+    assert np.max(np.abs(u - v)) <= 1e-10
+    chord = [c for c in log if not c[0]]
+    assert rep.chord_steps >= 1
+    assert all(solves == 2 and rel <= solver._CHORD_RATE**2 for _, solves, rel in chord)
 
 
 def test_pinned_test_factor_properties(flagship_bg_small):
