@@ -52,10 +52,10 @@ class ConicalBackground:
             raise ShapeError(f"{name} has shape {f.shape}, mesh has {self.n_vertices} nodes")
         return f
 
-    def _check_pinned(self, u, name="u", atol=0.0):
+    def _check_pinned(self, u, name="u"):
         u = self._check(u, name)
         cv = self.cone_vertices
-        if len(cv) and np.any(np.abs(u[cv]) > atol):
+        if len(cv) and np.any(np.abs(u[cv]) > 0.0):
             raise NormalizationError(f"{name} must vanish at cone vertices")
         return u
 
@@ -105,15 +105,14 @@ def delta_beta_apply(bg: ConicalBackground, f: np.ndarray) -> np.ndarray:
     return bg.rho_pow_neg2beta * bg.mesh.laplace(f)
 
 
-def curvature_map(bg: ConicalBackground, u: np.ndarray, cone_tol: float = 0.0) -> np.ndarray:
+def curvature_map(bg: ConicalBackground, u: np.ndarray) -> np.ndarray:
     """Gaussian curvature of e^{2u} rho^{2 beta} g_round; zero at cone vertices.
 
-    cone_tol loosens the pinning check for solver output, whose cone-vertex
-    values float at the discretization scale.  The returned value at a cone
-    vertex does not depend on u there (the conical weight vanishes), but the
-    values on its 1-ring do, through the Laplacian.
+    u need not vanish at the cones (the solver's does not).  The returned value
+    at a cone vertex does not depend on u there (the conical weight vanishes),
+    but the values on its 1-ring do, through the Laplacian.
     """
-    u = bg._check_pinned(u, atol=cone_tol)
+    u = bg._check(u, "u")
     return np.exp(-2.0 * u) * (bg.k_beta - delta_beta_apply(bg, u))
 
 
@@ -124,10 +123,10 @@ class GaussBonnetReport:
     residual: float
 
 
-def gauss_bonnet(bg: ConicalBackground, u: np.ndarray, cone_tol: float = 0.0) -> GaussBonnetReport:
+def gauss_bonnet(bg: ConicalBackground, u: np.ndarray) -> GaussBonnetReport:
     """Total curvature of e^{2u} g against the target 2*pi*(2 + sum beta_i)."""
-    u = bg._check_pinned(u, atol=cone_tol)
-    K = curvature_map(bg, u, cone_tol=cone_tol)
+    u = bg._check(u, "u")
+    K = curvature_map(bg, u)
     integral = float(np.sum(K * np.exp(2.0 * u) * bg.rho_pow_2beta * bg.mesh.areas))
     target = 2.0 * math.pi * euler_characteristic(bg.divisor)
     return GaussBonnetReport(

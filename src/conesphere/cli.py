@@ -330,7 +330,7 @@ def cmd_solve(args) -> int:
     if manufactured is not None:
         payload["manufactured_error"] = float(np.max(np.abs(u - manufactured)))
     if job.config["outputs"]["fields"]:
-        achieved = curvature_map(bg, u, cone_tol=np.inf)
+        achieved = curvature_map(bg, u)
         write_csv(os.path.join(args.out, "u.csv"), mesh, u)
         write_csv(os.path.join(args.out, "k_achieved.csv"), mesh, achieved)
         write_csv(os.path.join(args.out, "rho.csv"), mesh, bg.rho_pow_2beta)
@@ -351,7 +351,7 @@ def cmd_spectrum(args) -> int:
     n = bg.n_vertices
     if args.count >= n - 1:
         raise ConfigError(f"--count must be below {n - 1} (the mesh has {n} nodes), got {args.count}")
-    result = spectrum(bg, args.count, weighted=True)
+    result = spectrum(bg, args.count)
     payload = {
         "config": job.resolved(),
         "count": args.count,
@@ -398,12 +398,12 @@ def _football_example(k, out_dir) -> int:
     # curvature check runs on an ungraded mesh instead
     graded = build_mesh(5, div, grading=3)
     bg = build_background(div, graded)
-    w = exact_football(k, graded)
-    # w is the log factor against the round metric, so e^{2w} is already the
-    # full area density (zero at the poles by the -inf convention)
-    area = float(np.sum(np.exp(2.0 * w) * graded.areas))
+    # exact_football's w is the log factor against the round metric, so e^{2w}
+    # is already the full area density (zero at the poles by the -inf convention)
+    density = np.exp(2.0 * exact_football(k, graded))
+    area = float(np.sum(density * graded.areas))
     area_target = 4.0 * math.pi / k
-    eig = spectrum(bg, 4, weighted=False, log_factor=w)
+    eig = spectrum(bg, 4, density)
 
     plain = build_mesh(5, div)
     w_plain = exact_football(k, plain)

@@ -29,36 +29,28 @@ _EIG_SEED = 20260826
 class SpectralResult:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray  # columns, orthonormal in the mass inner product
-    weighted: bool
 
 
-def spectrum(bg: ConicalBackground, count: int, weighted: bool = True,
-             log_factor: np.ndarray | None = None) -> SpectralResult:
-    """Smallest `count` eigenvalues of -Lap h = lambda rho^{2 beta} h.
+def spectrum(bg: ConicalBackground, count: int,
+             density: np.ndarray | None = None) -> SpectralResult:
+    """Smallest `count` eigenvalues of -Lap h = lambda * density * h, the Laplace
+    spectrum of the metric density * g_round: rho^{2 beta} (the default) for the
+    background, np.exp(2 * w) for e^{2w} g_round (a w of -inf, as exact_football's
+    at the poles, carries zero mass, the cone-vertex quadrature convention).
 
-    Generalized symmetric pair (stiffness, weighted node-area mass) on the
-    unpinned space, solved by shift-invert Lanczos with a fixed-seed start
-    vector; the weighted problem is the conical eigenproblem
-    -Lap_beta h = lambda h in the rho^{2 beta}-weighted inner product.
-
-    log_factor adds e^{2 log_factor} to the mass weight, giving the
-    eigenproblem of the metric e^{2 log_factor} applied on top of the
-    selected background weight (used with the exact football factor, where
-    weighted=False and log_factor=exact_football(...) yields the spectrum
-    of the constant-curvature football itself; -inf entries carry zero
-    mass, matching the cone-vertex quadrature convention).
+    Stiffness against the mass areas * density, solved by shift-invert Lanczos
+    with a fixed-seed start vector.  ShapeError unless density has one float per
+    node, DomainError if an entry is negative, infinite or NaN.
     """
     if count < 1:
         raise DomainError("eigenvalue count must be at least 1")
     n = bg.n_vertices
     if count >= n - 1:
         raise DomainError("eigenvalue count must be well below the node count")
-    mass = bg.mesh.areas * (bg.rho_pow_2beta if weighted else 1.0)
-    if log_factor is not None:
-        scale = np.zeros(n)
-        finite = np.isfinite(log_factor)
-        scale[finite] = np.exp(2.0 * np.asarray(log_factor)[finite])
-        mass = mass * scale
+    density = bg.rho_pow_2beta if density is None else bg._check(density, "density")
+    if not np.all((density >= 0.0) & (density < np.inf)):  # a NaN fails too
+        raise DomainError("density must be finite and nonnegative at every node")
+    mass = bg.mesh.areas * density
     v0 = np.random.default_rng(_EIG_SEED).standard_normal(n)
     M = sp.diags(mass)
     sigma = -0.1
@@ -71,9 +63,7 @@ def spectrum(bg: ConicalBackground, count: int, weighted: bool = True,
     except (SingularLinearization, spla.ArpackNoConvergence, RuntimeError) as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
-    return SpectralResult(
-        eigenvalues=vals[order], eigenfunctions=vecs[:, order], weighted=weighted
-    )
+    return SpectralResult(eigenvalues=vals[order], eigenfunctions=vecs[:, order])
 
 
 def _free_order(bg: ConicalBackground) -> np.ndarray:

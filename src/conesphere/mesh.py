@@ -11,6 +11,7 @@ so they sum to the exact sphere area 4*pi up to roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -529,7 +530,6 @@ class SphereMesh:
 
 
 _MESH_CACHE_SIZE = 4  # meshes build_mesh keeps, least recently used dropped first
-_meshes = {}
 
 
 def build_mesh(
@@ -548,20 +548,16 @@ def build_mesh(
     if not grading_radius > 0.0:  # NaN fails too
         raise MeshError(f"grading_radius must be positive, got {grading_radius}")
     positions = div.positions if div is not None and len(div) else np.zeros((0, 3))
-    key = (base_level, grading, grading_radius, positions.tobytes())
-    mesh = _meshes.pop(key, None) or _build_mesh(
-        base_level, div, positions, grading, grading_radius)
-    _meshes[key] = mesh
-    if len(_meshes) > _MESH_CACHE_SIZE:
-        del _meshes[next(iter(_meshes))]
-    return mesh
+    if len(positions) and div.min_pairwise_distance() < 4.0 * math.pi / (5 * 2**base_level):
+        raise MeshError("cone points too close together for this base level")
+    return _build_mesh(base_level, grading, grading_radius, positions.tobytes())
 
 
-def _build_mesh(base_level, div, positions, grading, grading_radius):
+@functools.lru_cache(maxsize=_MESH_CACHE_SIZE)
+def _build_mesh(base_level, grading, grading_radius, positions_bytes):
+    positions = np.frombuffer(positions_bytes).reshape(-1, 3)
     verts, faces = icosphere(base_level)
     if len(positions):
-        if div.min_pairwise_distance() < 4.0 * math.pi / (5 * 2**base_level):
-            raise MeshError("cone points too close together for this base level")
         verts, cone_ids = _snap_cones(verts, faces, positions)
     else:
         cone_ids = []

@@ -117,17 +117,14 @@ def linearize(bg: ConicalBackground, u: np.ndarray) -> sp.csr_matrix:
     return _derivative(bg, d, np.exp(-2.0 * u) * bg.rho_pow_neg2beta)[free][:, free]
 
 
-def self_adjointness_defect(bg: ConicalBackground, u, f, g) -> float:
-    """|<f, L g>_w - <L f, g>_w| for the base-point operator L on pinned f, g
-    in the rho^{2 beta}-weighted inner product."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u != 0.0):
-        raise ScopeError("self-adjointness is assembled at the base point u = 0 only")
+def self_adjointness_defect(bg: ConicalBackground, f, g) -> float:
+    """|<f, L g>_w - <L f, g>_w| for the base-point operator L (at u = 0) on
+    pinned f, g in the rho^{2 beta}-weighted inner product."""
     free = _free_nodes(bg)
     f = bg._check_pinned(f, "f")[free]
     g = bg._check_pinned(g, "g")[free]
     # linearize gives -L, whose defect is the same as that of L
-    neg_L = linearize(bg, u)
+    neg_L = linearize(bg, np.zeros(bg.n_vertices))
     w = (bg.rho_pow_2beta * bg.mesh.areas)[free]
     return abs(float(np.sum(f * (neg_L @ g) * w)) - float(np.sum((neg_L @ f) * g * w)))
 
@@ -208,20 +205,20 @@ def _refined_solve(lu: _OrderedLU, J, F, rel_tol=10 * _LINEAR_TOL):
     """The Newton correction d with J d = -F, solved with the LU in its own
     precision (float32 for Newton's row-scaled J), then refined, d -= LU^-1 (J d + F)
     with J and F in float64, until sup|J d + F| is at most rel_tol * sup|F|, stops
-    falling, or after _REFINEMENT_STEPS.  A fresh LU's correction (the default)
-    goes to the float64 floor.  A chord correction's direction is already off
-    Newton's by the Jacobian's drift; at _CHORD_RATE**2 its linear residual costs
-    at most a tenth of the cut the chord test asks for."""
-    d = lu.solve(-F)
+    falling, or after _REFINEMENT_STEPS; a step that raised it is taken back.  A
+    fresh LU's correction (the default) goes to the float64 floor.  A chord
+    correction's direction is already off Newton's by the Jacobian's drift; at
+    _CHORD_RATE**2 its linear residual costs at most a tenth of the cut the chord
+    test asks for."""
+    d = kept = lu.solve(-F)
     tol, last = rel_tol * float(np.max(np.abs(F))), np.inf
-    for _ in range(_REFINEMENT_STEPS):
+    for steps in range(_REFINEMENT_STEPS + 1):
         r = J @ d + F
         sup = np.max(np.abs(r))
-        if not tol < sup < last:  # a NaN stops too
-            break
-        last = sup
-        d -= lu.solve(r)
-    return d
+        if not tol < sup < last or steps == _REFINEMENT_STEPS:  # a NaN stops too
+            return d if sup < last else kept
+        last, kept = sup, d
+        d = d - lu.solve(r)
 
 
 def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = SolverConfig()):
@@ -298,7 +295,7 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
         chord_steps=chords,
         linear_residual=lin_worst,
         refinement_steps=refinements,
-        gauss_bonnet_residual=gauss_bonnet(bg, u, cone_tol=np.inf).residual,
+        gauss_bonnet_residual=gauss_bonnet(bg, u).residual,
     )
     return u, report
 

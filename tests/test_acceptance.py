@@ -156,7 +156,7 @@ def test_criterion_05_self_adjointness(gallery):
         for _ in range(10):
             f = random_pinned(bg, rng)
             g = random_pinned(bg, rng)
-            defect = self_adjointness_defect(bg, np.zeros(bg.n_vertices), f, g)
+            defect = self_adjointness_defect(bg, f, g)
             Lg = bg.rho_pow_neg2beta * (a * g + bg.mesh.laplace(g))
             Lf = bg.rho_pow_neg2beta * (a * f + bg.mesh.laplace(f))
             scale = abs(np.sum(f * Lg * w)) + abs(np.sum(Lf * g * w))
@@ -200,8 +200,8 @@ def test_criterion_07_spectral_bound(round_bg5, football2_graded, football3_grad
     fb2, w2 = football2_graded
     fb3, w3 = football3_graded
     lam_round = spectrum(round_bg5, 2).eigenvalues[1]
-    lam_fb2 = spectrum(fb2, 2, weighted=False, log_factor=w2).eigenvalues[1]
-    lam_fb3 = spectrum(fb3, 2, weighted=False, log_factor=w3).eigenvalues[1]
+    lam_fb2 = spectrum(fb2, 2, np.exp(2.0 * w2)).eigenvalues[1]
+    lam_fb3 = spectrum(fb3, 2, np.exp(2.0 * w3)).eigenvalues[1]
     assert abs(lam_round - 2.0) / 2.0 <= 0.02
     assert abs(lam_fb2 - 2.0) / 2.0 <= 0.02
     for lam in (lam_round, lam_fb2, lam_fb3):

@@ -73,15 +73,14 @@ def test_gauss_bonnet_round(round_bg4):
     assert rep.residual < 1e-6
 
 
-def test_curvature_map_requires_pinning(flagship_bg_small):
+def test_curvature_map_of_an_unpinned_u(flagship_bg_small):
+    # the solver's u has cone values; the curvature map reads them
     bg = flagship_bg_small
-    u = np.zeros(bg.n_vertices)
-    u[bg.cone_vertices[0]] = 0.05
-    with pytest.raises(NormalizationError):
-        curvature_map(bg, u)
-    # the tolerance parameter admits solver output with floating cone values
-    K = curvature_map(bg, u, cone_tol=0.1)
-    assert K.shape == (bg.n_vertices,)
+    u = random_pinned(bg, np.random.default_rng(18), 0.2)
+    u[bg.cone_vertices] = [0.05, -0.1, 0.2]
+    K = curvature_map(bg, u)
+    assert np.array_equal(K, np.exp(-2.0 * u) * (bg.k_beta - delta_beta_apply(bg, u)))
+    assert np.all(K[bg.cone_vertices] == 0.0)
 
 
 def test_curvature_of_background_is_k_beta(flagship_bg_small):

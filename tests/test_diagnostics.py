@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from conesphere.background import build_background
@@ -44,9 +45,29 @@ def test_spectrum_count_guards(round_bg4):
 
 
 def test_spectrum_weighted_vs_plain_differ(flagship_bg_small):
-    w = spectrum(flagship_bg_small, 3, weighted=True)
-    p = spectrum(flagship_bg_small, 3, weighted=False)
+    w = spectrum(flagship_bg_small, 3)
+    p = spectrum(flagship_bg_small, 3, np.ones(flagship_bg_small.n_vertices))
     assert not np.allclose(w.eigenvalues[1:], p.eigenvalues[1:], rtol=1e-3)
+
+
+def test_spectrum_density_contract(flagship_bg_small):
+    bg = flagship_bg_small
+    default = spectrum(bg, 3)
+    explicit = spectrum(bg, 3, bg.rho_pow_2beta)
+    assert default.eigenvalues.tobytes() == explicit.eigenvalues.tobytes()
+    assert default.eigenfunctions.tobytes() == explicit.eigenfunctions.tobytes()
+    # a density of ones is the unweighted problem: stiffness against node areas
+    plain = spectrum(bg, 3, np.ones(bg.n_vertices))
+    ref = spla.eigsh(bg.mesh.stiffness, k=3, M=scipy.sparse.diags(bg.mesh.areas),
+                     sigma=-0.1, return_eigenvectors=False)
+    np.testing.assert_allclose(plain.eigenvalues, np.sort(ref), rtol=1e-9, atol=1e-12)
+    for bad in (np.nan, -1e-3, np.inf):
+        density = np.ones(bg.n_vertices)
+        density[7] = bad
+        with pytest.raises(DomainError):
+            spectrum(bg, 3, density)
+    with pytest.raises(ShapeError):
+        spectrum(bg, 3, np.ones(bg.n_vertices - 1))
 
 
 def test_kernel_gap_positive_on_pinned_problem(flagship_bg_small):
@@ -120,7 +141,7 @@ def test_football_example_converges():
         w = exact_football(3, mesh)
         area = float(np.sum(np.exp(2.0 * w) * mesh.areas))
         bg = build_background(div, mesh)
-        lam1 = spectrum(bg, 4, weighted=False, log_factor=w).eigenvalues[1]
+        lam1 = spectrum(bg, 4, np.exp(2.0 * w)).eigenvalues[1]
         errors.append((abs(area - 4.0 * math.pi / 3) / (4.0 * math.pi / 3), abs(lam1 - 2.0)))
     (area3, lam3), (area4, lam4) = errors
     assert area3 >= 1.3 * area4 and lam3 >= 1.3 * lam4

@@ -299,11 +299,11 @@ def test_batched_grading_matches_per_face_grading(monkeypatch, div, base, gradin
     # cones keep their ids.
     mesh = build_mesh(base, div, grading=grading)
     monkeypatch.setattr(mesh_module, "_Grading", PerFaceGrading)
-    mesh_module._meshes.clear()  # else build_mesh returns `mesh` again
+    mesh_module._build_mesh.cache_clear()  # else build_mesh returns `mesh` again
     try:
         ref = build_mesh(base, div, grading=grading)
     finally:
-        mesh_module._meshes.clear()  # later builds must not get the reference
+        mesh_module._build_mesh.cache_clear()  # later builds must not get the reference
     assert ref is not mesh
     n_base = 10 * 4**base + 2
     assert ref.n_vertices > n_base  # the reference did grade
@@ -498,7 +498,7 @@ def test_ordering_is_the_cached_nested_dissection():
     assert np.array_equal(order, expected)
     assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
     assert mesh.ordering() is order
-    mesh_module._meshes.clear()
+    mesh_module._build_mesh.cache_clear()
     again = build_mesh(3, div, grading=2)
     assert again is not mesh and np.array_equal(again.ordering(), order)
 
