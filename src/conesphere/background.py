@@ -33,7 +33,8 @@ class ConicalBackground:
 
     divisor: Divisor
     mesh: SphereMesh
-    m_field: np.ndarray  # 1 - beta * Lap log rho = chi / 2 at every node
+    m: float  # 1 - beta * Lap log rho = chi / 2, the same at every node
+    free: np.ndarray  # the non-cone nodes, ascending
     k_beta: np.ndarray
     rho_pow_2beta: np.ndarray  # quadrature weight, 0 at cone vertices by convention
     rho_pow_neg2beta: np.ndarray  # coefficient of the conical Laplacian, 0 at cones
@@ -46,16 +47,9 @@ class ConicalBackground:
     def cone_vertices(self) -> np.ndarray:
         return self.mesh.cone_vertices
 
-    def _check(self, f, name="grid function"):
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n_vertices,):
-            raise ShapeError(f"{name} has shape {f.shape}, mesh has {self.n_vertices} nodes")
-        return f
-
     def _check_pinned(self, u, name="u"):
-        u = self._check(u, name)
-        cv = self.cone_vertices
-        if len(cv) and np.any(np.abs(u[cv]) > 0.0):
+        u = self.mesh._check(u, name)
+        if np.any(np.abs(u[self.cone_vertices]) > 0.0):
             raise NormalizationError(f"{name} must vanish at cone vertices")
         return u
 
@@ -71,29 +65,29 @@ def build_background(div: Divisor, mesh: SphereMesh) -> ConicalBackground:
     if not chi > 0.0:
         raise BackgroundError(f"Euler characteristic {chi:.6g} is not positive, so the "
                               "background curvature chi/2 * rho^(-2 beta) is not either")
+    if len(mesh.cone_vertices) != len(div):
+        raise ShapeError("mesh was not built from this divisor (cone vertex count differs)")
+    if np.any(geodesic_distance(mesh.vertices[mesh.cone_vertices], div.positions) > 1e-12):
+        raise ShapeError("mesh cone vertices do not coincide with the divisor points")
     log_neg = np.zeros(mesh.n_vertices)  # log rho^{-2 beta}
-    if len(div):
-        if len(mesh.cone_vertices) != len(div):
-            raise ShapeError("mesh was not built from this divisor (cone vertex count differs)")
-        if np.any(geodesic_distance(mesh.vertices[mesh.cone_vertices], div.positions) > 1e-12):
-            raise ShapeError("mesh cone vertices do not coincide with the divisor points")
-        with np.errstate(divide="ignore"):  # log 0 at the cone's own vertex
-            for p in div:
-                if p.beta != 0.0:
-                    d = geodesic_distance(mesh.vertices, p.position)
-                    log_neg -= 2.0 * p.beta * np.log(np.sin(0.5 * d))
-        # a mesh passes the check above with its cone vertex up to 1e-12 off
-        # the point, at a finite weight
-        log_neg[mesh.cone_vertices[div.betas != 0.0]] = -np.inf
+    with np.errstate(divide="ignore"):  # log 0 at the cone's own vertex
+        for p in div:
+            if p.beta != 0.0:
+                d = geodesic_distance(mesh.vertices, p.position)
+                log_neg -= 2.0 * p.beta * np.log(np.sin(0.5 * d))
+    # a mesh passes the check above with its cone vertex up to 1e-12 off
+    # the point, at a finite weight
+    log_neg[mesh.cone_vertices[div.betas != 0.0]] = -np.inf
     rho_neg = np.exp(log_neg)
     # quadrature convention: the cone cell mass is dropped
     rho_pos = np.divide(1.0, rho_neg, out=np.zeros_like(rho_neg), where=rho_neg > 0.0)
-    m_field = np.full(mesh.n_vertices, 0.5 * chi)
+    m = 0.5 * chi
     return ConicalBackground(
         divisor=div,
         mesh=mesh,
-        m_field=m_field,
-        k_beta=rho_neg * m_field,
+        m=m,
+        free=np.delete(np.arange(mesh.n_vertices), mesh.cone_vertices),
+        k_beta=rho_neg * m,
         rho_pow_2beta=rho_pos,
         rho_pow_neg2beta=rho_neg,
     )
@@ -101,7 +95,7 @@ def build_background(div: Divisor, mesh: SphereMesh) -> ConicalBackground:
 
 def delta_beta_apply(bg: ConicalBackground, f: np.ndarray) -> np.ndarray:
     """Conical Laplacian rho^{-2 beta} * Lap f; zero at cone vertices."""
-    f = bg._check(f)
+    f = bg.mesh._check(f)
     return bg.rho_pow_neg2beta * bg.mesh.laplace(f)
 
 
@@ -112,7 +106,7 @@ def curvature_map(bg: ConicalBackground, u: np.ndarray) -> np.ndarray:
     at a cone vertex does not depend on u there (the conical weight vanishes),
     but the values on its 1-ring do, through the Laplacian.
     """
-    u = bg._check(u, "u")
+    u = bg.mesh._check(u, "u")
     return np.exp(-2.0 * u) * (bg.k_beta - delta_beta_apply(bg, u))
 
 
@@ -125,7 +119,7 @@ class GaussBonnetReport:
 
 def gauss_bonnet(bg: ConicalBackground, u: np.ndarray) -> GaussBonnetReport:
     """Total curvature of e^{2u} g against the target 2*pi*(2 + sum beta_i)."""
-    u = bg._check(u, "u")
+    u = bg.mesh._check(u, "u")
     K = curvature_map(bg, u)
     integral = float(np.sum(K * np.exp(2.0 * u) * bg.rho_pow_2beta * bg.mesh.areas))
     target = 2.0 * math.pi * euler_characteristic(bg.divisor)
@@ -176,20 +170,12 @@ def _three_cone_log_factor(w, betas, lib=None):
     return lib.log(h) / 2 + log_wronskian + lib.log(1 + abs(w) ** 2) - lib.log(y2**2 + h * y1**2)
 
 
-def _free_nodes(bg: ConicalBackground) -> np.ndarray:
-    """The non-cone nodes, ascending."""
-    mask = np.ones(bg.n_vertices, dtype=bool)
-    mask[bg.cone_vertices] = False
-    return np.flatnonzero(mask)
-
-
 def three_cone_factor(bg: ConicalBackground) -> np.ndarray:
     """u_1: the exact u of the curvature-1 metric with bg's three cones, on
     every node.  At a non-cone node it is the metric's log factor, its cones
     moved to w = 0, 1, inf, minus 1/2 log rho^{2 beta}; a cone vertex takes
     the mean over its 1-ring."""
-    mesh = bg.mesh
-    free = _free_nodes(bg)
+    mesh, free = bg.mesh, bg.free
     phi = moebius_from_triples(bg.divisor.positions, [[0, 0, -1], [1, 0, 0], [0, 0, 1]])
     x = mesh.vertices[free]
     z, s = _project_hom(x)

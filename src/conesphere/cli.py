@@ -101,10 +101,10 @@ def _as_position(value, context):
     return p / nrm
 
 
-def _build(make, what, **kwargs):
-    """make(**kwargs), with a library error reported as a configuration error."""
+def _build(make, what, *args, **kwargs):
+    """make(*args, **kwargs), with a library error reported as a configuration error."""
     try:
-        return make(**kwargs)
+        return make(*args, **kwargs)
     except ConesphereError as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
@@ -204,7 +204,7 @@ class Job:
                  for p in self.divisor]
         return {"divisor": cones, **self.config}
 
-    def build_geometry(self):
+    def background(self):
         params = self.config["mesh"]
         mesh = build_mesh(
             params["base_level"],
@@ -212,8 +212,7 @@ class Job:
             grading=params["grading_levels"],
             grading_radius=params["grading_radius"],
         )
-        bg = build_background(self.divisor, mesh)
-        return mesh, bg
+        return build_background(self.divisor, mesh)
 
     def resolve_target(self, bg):
         """Nodewise target curvature; returns (K, manufactured_u or None).
@@ -314,7 +313,7 @@ def cmd_solve(args) -> int:
     job = Job(args.config)
     payload = {"config": job.resolved()}
     try:
-        mesh, bg = job.build_geometry()
+        bg = job.background()
         K, manufactured = job.resolve_target(bg)
         u, report = continuation_solve(bg, K, job.solver_config)
     except ConfigError:
@@ -325,18 +324,18 @@ def cmd_solve(args) -> int:
         print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     payload["solver"] = report
-    payload["n_vertices"] = mesh.n_vertices
+    payload["n_vertices"] = bg.n_vertices
     payload["cones"] = _cone_entries(bg, u)
     if manufactured is not None:
         payload["manufactured_error"] = float(np.max(np.abs(u - manufactured)))
     if job.config["outputs"]["fields"]:
         achieved = curvature_map(bg, u)
-        write_csv(os.path.join(args.out, "u.csv"), mesh, u)
-        write_csv(os.path.join(args.out, "k_achieved.csv"), mesh, achieved)
-        write_csv(os.path.join(args.out, "rho.csv"), mesh, bg.rho_pow_2beta)
-        write_csv(os.path.join(args.out, "k_beta.csv"), mesh, bg.k_beta)
+        write_csv(os.path.join(args.out, "u.csv"), bg.mesh, u)
+        write_csv(os.path.join(args.out, "k_achieved.csv"), bg.mesh, achieved)
+        write_csv(os.path.join(args.out, "rho.csv"), bg.mesh, bg.rho_pow_2beta)
+        write_csv(os.path.join(args.out, "k_beta.csv"), bg.mesh, bg.k_beta)
     if job.config["outputs"]["mesh_off"]:
-        write_off(os.path.join(args.out, "mesh.off"), mesh)
+        write_off(os.path.join(args.out, "mesh.off"), bg.mesh)
     _write_report(args.out, "solve.json", payload)
     summary = dataclasses.asdict(report)
     _print_lines({k: v for k, v in summary.items() if k not in ("continuation_path", "warnings")})
@@ -347,7 +346,7 @@ def cmd_spectrum(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
     job = Job(args.config)
-    _, bg = job.build_geometry()
+    bg = job.background()
     n = bg.n_vertices
     if args.count >= n - 1:
         raise ConfigError(f"--count must be below {n - 1} (the mesh has {n} nodes), got {args.count}")
@@ -379,7 +378,7 @@ def cmd_symmetries(args) -> int:
 
 def cmd_gauss_bonnet(args) -> int:
     job = Job(args.config)
-    _, bg = job.build_geometry()
+    bg = job.background()
     report = gauss_bonnet(bg, np.zeros(bg.n_vertices))
     payload = {
         "config": job.resolved(),
@@ -392,7 +391,7 @@ def cmd_gauss_bonnet(args) -> int:
 
 
 def _football_example(k, out_dir) -> int:
-    div = football_divisor(k)
+    div = _build(football_divisor, "football example", k)
     # graded mesh for quadrature (area, first eigenvalue); the stencil at
     # grading transitions is not pointwise consistent, so the nodewise
     # curvature check runs on an ungraded mesh instead
@@ -434,7 +433,7 @@ def _football_example(k, out_dir) -> int:
 
 
 def _triangle_example(angles, out_dir) -> int:
-    div = triangle_double_divisor(*angles)
+    div = _build(triangle_double_divisor, "triangle example", *angles)
     scope = solver_scope_check(div)
     maps = enumerate_conformal_symmetries(div)
     payload = {
@@ -467,13 +466,10 @@ def _triangle_example(angles, out_dir) -> int:
 
 def cmd_example(args) -> int:
     if args.name == "football":
-        k = args.k if args.k is not None else 2
-        if k < 2:
-            raise ConfigError(f"football example needs integer k >= 2, got {k}")
-        return _football_example(k, args.out)
+        return _football_example(args.k if args.k is not None else 2, args.out)
     if args.name == "triangle":
-        if args.angles is None or not all(map(math.isfinite, args.angles)):
-            raise ConfigError("triangle example needs --angles A B C (finite, in radians)")
+        if args.angles is None:
+            raise ConfigError("triangle example needs --angles A B C (in radians)")
         return _triangle_example(args.angles, args.out)
     raise ConfigError(f"unknown example '{args.name}' (expected 'football' or 'triangle')")
 

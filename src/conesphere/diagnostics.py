@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .background import ConicalBackground, _free_nodes
+from .background import ConicalBackground
 from .divisor import ConePoint, Divisor, geodesic_distance
 from .errors import DomainError, ShapeError, SingularLinearization, SpectralError
 from .mesh import SphereMesh
@@ -47,7 +47,7 @@ def spectrum(bg: ConicalBackground, count: int,
     n = bg.n_vertices
     if count >= n - 1:
         raise DomainError("eigenvalue count must be well below the node count")
-    density = bg.rho_pow_2beta if density is None else bg._check(density, "density")
+    density = bg.rho_pow_2beta if density is None else bg.mesh._check(density, "density")
     if not np.all((density >= 0.0) & (density < np.inf)):  # a NaN fails too
         raise DomainError("density must be finite and nonnegative at every node")
     mass = bg.mesh.areas * density
@@ -69,9 +69,8 @@ def spectrum(bg: ConicalBackground, count: int,
 def _free_order(bg: ConicalBackground) -> np.ndarray:
     """The mesh's node order restricted to the non-cone nodes, each renumbered
     by its position among them (the rows of the linearized matrix)."""
-    free = _free_nodes(bg)
     rank = np.full(bg.n_vertices, -1)
-    rank[free] = np.arange(len(free))
+    rank[bg.free] = np.arange(len(bg.free))
     order = rank[bg.mesh.ordering()]
     return order[order >= 0]
 

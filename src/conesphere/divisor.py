@@ -109,7 +109,7 @@ def geodesic_distance(p, q):
 
 def euler_characteristic(div: Divisor) -> float:
     """Generalized Euler characteristic 2 + sum(beta_i) of the marked sphere."""
-    return 2.0 + float(np.sum(div.betas)) if len(div) else 2.0
+    return 2.0 + float(np.sum(div.betas))
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def solver_scope_check(div: Divisor) -> ScopeReport:
     else:
         troy_ok, margins = False, ()
     chi = euler_characteristic(div)
-    distinct = _has_distinct_triple(betas) if len(div) else False
+    distinct = _has_distinct_triple(betas)
     return ScopeReport(
         n_at_least_3=n_ok,
         betas_in_range=range_ok,

@@ -483,6 +483,13 @@ class SphereMesh:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    def _check(self, f, name="grid function"):
+        """f as one float per node; ShapeError otherwise."""
+        f = np.asarray(f, dtype=float)
+        if f.shape != (self.n_vertices,):
+            raise ShapeError(f"{name} has shape {f.shape}, mesh has {self.n_vertices} nodes")
+        return f
+
     def laplace(self, f: np.ndarray) -> np.ndarray:
         """Discrete Laplace-Beltrami operator (negative spectrum convention).
 
@@ -491,9 +498,7 @@ class SphereMesh:
         and avoids the cancellation noise of summing w*f terms, which matters
         on graded meshes where node areas reach 1e-7.
         """
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n_vertices,):
-            raise ShapeError(f"grid function has shape {f.shape}, mesh has {self.n_vertices} nodes")
+        f = self._check(f)
         i, j, w = self._edge_form()
         flux = np.bincount(i, weights=w * (f[j] - f[i]), minlength=self.n_vertices)
         return flux / self.areas
@@ -547,7 +552,7 @@ def build_mesh(
     _check_level("grading", grading)
     if not grading_radius > 0.0:  # NaN fails too
         raise MeshError(f"grading_radius must be positive, got {grading_radius}")
-    positions = div.positions if div is not None and len(div) else np.zeros((0, 3))
+    positions = div.positions if div is not None else np.zeros((0, 3))
     if len(positions) and div.min_pairwise_distance() < 4.0 * math.pi / (5 * 2**base_level):
         raise MeshError("cone points too close together for this base level")
     return _build_mesh(base_level, grading, grading_radius, positions.tobytes())
@@ -587,10 +592,8 @@ def write_off(path, mesh: SphereMesh):
 
 def write_csv(path, mesh: SphereMesh, values: np.ndarray):
     """Rows x,y,z,value per node; the coordinate text is formatted once per mesh."""
-    values = np.asarray(values, dtype=float)
+    values = mesh._check(values, "values")
     n = mesh.n_vertices
-    if values.shape != (n,):
-        raise ShapeError(f"values shape {values.shape} does not match {n} nodes")
     if mesh._csv_coords is None:
         text = ("%.17g,%.17g,%.17g,\n" * n) % tuple(mesh.vertices.ravel().tolist())
         mesh._csv_coords = text.split("\n")[:n]

@@ -207,8 +207,7 @@ def enumerate_conformal_symmetries(div: Divisor, tol: float = 1e-9):
     n = len(div.points)
     if n < 3:
         raise ScopeError("symmetry enumeration needs at least 3 marked points")
-    positions = np.array([p.position for p in div.points])
-    betas = np.array([p.beta for p in div.points])
+    positions, betas = div.positions, div.betas
     dist = np.linalg.norm(positions[:, None] - positions, axis=2)
     near = np.argwhere(np.triu(dist <= tol, 1))
     if len(near):

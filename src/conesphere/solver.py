@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .background import ConicalBackground, _free_nodes, curvature_map, gauss_bonnet, three_cone_factor
+from .background import ConicalBackground, curvature_map, gauss_bonnet, three_cone_factor
 from .divisor import geodesic_distance, solver_scope_check
 from .errors import (
     ContinuationStall,
@@ -109,23 +109,21 @@ def _derivative(bg: ConicalBackground, d, s):
 
 def linearize(bg: ConicalBackground, u: np.ndarray) -> sp.csr_matrix:
     """Differential of the curvature map at a pinned u, as a sparse matrix on
-    the non-cone nodes in ascending order (the rows of _free_nodes):
+    the non-cone nodes in ascending order (the rows of bg.free):
     h -> -2 h K_g - e^{-2u} rho^{-2 beta} Lap h."""
     u = bg._check_pinned(u)
-    free = _free_nodes(bg)
     d = -2.0 * curvature_map(bg, u)
-    return _derivative(bg, d, np.exp(-2.0 * u) * bg.rho_pow_neg2beta)[free][:, free]
+    return _derivative(bg, d, np.exp(-2.0 * u) * bg.rho_pow_neg2beta)[bg.free][:, bg.free]
 
 
 def self_adjointness_defect(bg: ConicalBackground, f, g) -> float:
     """|<f, L g>_w - <L f, g>_w| for the base-point operator L (at u = 0) on
     pinned f, g in the rho^{2 beta}-weighted inner product."""
-    free = _free_nodes(bg)
-    f = bg._check_pinned(f, "f")[free]
-    g = bg._check_pinned(g, "g")[free]
+    f = bg._check_pinned(f, "f")[bg.free]
+    g = bg._check_pinned(g, "g")[bg.free]
     # linearize gives -L, whose defect is the same as that of L
     neg_L = linearize(bg, np.zeros(bg.n_vertices))
-    w = (bg.rho_pow_2beta * bg.mesh.areas)[free]
+    w = (bg.rho_pow_2beta * bg.mesh.areas)[bg.free]
     return abs(float(np.sum(f * (neg_L @ g) * w)) - float(np.sum((neg_L @ f) * g * w)))
 
 
@@ -146,7 +144,7 @@ def _product_field(bg: ConicalBackground, K):
 
 def _residual(bg: ConicalBackground, u, G):
     lap_u = bg.mesh.laplace(u)
-    F = np.exp(-2.0 * u) * (bg.m_field - lap_u) - G
+    F = np.exp(-2.0 * u) * (bg.m - lap_u) - G
     return F, lap_u
 
 
@@ -154,14 +152,14 @@ def _jacobian(bg: ConicalBackground, u, lap_u):
     """diag(a) F'(u), a = A / mean(A): Newton's rows scaled by node area."""
     a = bg.mesh.areas / np.mean(bg.mesh.areas)
     e = np.exp(-2.0 * u)
-    return _derivative(bg, -2.0 * a * e * (bg.m_field - lap_u), a * e).tocsc()
+    return _derivative(bg, -2.0 * a * e * (bg.m - lap_u), a * e).tocsc()
 
 
 def _check_target(bg: ConicalBackground, K_target) -> np.ndarray:
     """K_target as one float per node, positive and finite (so not NaN) at
     every non-cone node; the data term at a cone node comes from its 1-ring."""
-    K = bg._check(np.asarray(K_target, dtype=float), "K_target")
-    K_free = K[_free_nodes(bg)]
+    K = bg.mesh._check(K_target, "K_target")
+    K_free = K[bg.free]
     bad = ~((K_free > 0.0) & (K_free < np.inf))
     if np.any(bad):
         raise NonPositiveTarget(
@@ -202,21 +200,21 @@ def _factor(A: sp.csc_matrix, order: np.ndarray) -> _OrderedLU:
 
 
 def _refined_solve(lu: _OrderedLU, J, F, rel_tol=10 * _LINEAR_TOL):
-    """The Newton correction d with J d = -F, solved with the LU in its own
-    precision (float32 for Newton's row-scaled J), then refined, d -= LU^-1 (J d + F)
-    with J and F in float64, until sup|J d + F| is at most rel_tol * sup|F|, stops
-    falling, or after _REFINEMENT_STEPS; a step that raised it is taken back.  A
-    fresh LU's correction (the default) goes to the float64 floor.  A chord
-    correction's direction is already off Newton's by the Jacobian's drift; at
-    _CHORD_RATE**2 its linear residual costs at most a tenth of the cut the chord
-    test asks for."""
-    d = kept = lu.solve(-F)
+    """(d, sup|J d + F|): the Newton correction d with J d = -F and its linear
+    residual.  d is solved with the LU in its own precision (float32 for Newton's
+    row-scaled J), then refined, d -= LU^-1 (J d + F) with J and F in float64,
+    until sup|J d + F| is at most rel_tol * sup|F|, stops falling, or after
+    _REFINEMENT_STEPS; a step that raised it is taken back.  A fresh LU's
+    correction (the default) goes to the float64 floor.  A chord correction's
+    direction is already off Newton's by the Jacobian's drift; at _CHORD_RATE**2
+    its linear residual costs at most a tenth of the cut the chord test asks for."""
+    d = lu.solve(-F)
     tol, last = rel_tol * float(np.max(np.abs(F))), np.inf
     for steps in range(_REFINEMENT_STEPS + 1):
         r = J @ d + F
         sup = np.max(np.abs(r))
         if not tol < sup < last or steps == _REFINEMENT_STEPS:  # a NaN stops too
-            return d if sup < last else kept
+            return (d, sup) if sup < last or not steps else (kept, last)
         last, kept = sup, d
         d = d - lu.solve(r)
 
@@ -235,7 +233,7 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
     residual is at most cfg.newton_tol, after at most _MAX_FACTORIZATIONS
     factorizations."""
     K = _check_target(bg, K_target)
-    u = bg._check(np.asarray(u0, dtype=float), "u0").copy()
+    u = bg.mesh._check(u0, "u0").copy()
     G = _product_field(bg, K)
 
     a = bg.mesh.areas / np.mean(bg.mesh.areas)
@@ -255,7 +253,7 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
             lu = _factor(J.astype(np.float32), bg.mesh.ordering())
         aF = a * F
         solves = lu.solves
-        d = _refined_solve(lu, J, aF, 10 * _LINEAR_TOL if fresh else _CHORD_RATE**2)
+        d, lin_sup = _refined_solve(lu, J, aF, 10 * _LINEAR_TOL if fresh else _CHORD_RATE**2)
         refinements += lu.solves - solves - 1
         if not fresh:
             trial = u + d
@@ -267,7 +265,7 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
             else:
                 lu = None  # freed before the next factorization runs
             continue
-        lin_res = float(np.max(np.abs(J @ d + aF))) / max(1.0, res)
+        lin_res = float(lin_sup) / max(1.0, res)
         if not lin_res <= 1e3 * _LINEAR_TOL:  # a NaN or inf in d fails too
             raise SingularLinearization(
                 f"inner linear solve residual {lin_res:.3e} (relative) exceeds tolerance"
@@ -320,7 +318,7 @@ def continuation_solve(bg: ConicalBackground, K_target, cfg: SolverConfig = Solv
     scope = solver_scope_check(bg.divisor)
     if not scope.passed:
         raise ScopeError(f"divisor outside solver scope: {asdict(scope)}")
-    free = _free_nodes(bg)
+    free = bg.free
 
     u, base_point = np.zeros(bg.n_vertices), "background"
     log_k0 = np.log(bg.k_beta[free])
@@ -393,7 +391,7 @@ def pinned_test_factor(bg: ConicalBackground, north: float = 1.0, south: float =
 
     v = north * bump(poles[0]) + south * bump(poles[1])
     lap = mesh.laplace(v)
-    limit = 0.5 * float(np.min(bg.m_field))
+    limit = 0.5 * bg.m
     peak = float(np.max(np.abs(lap)))
     if peak > 0.0:
         v *= min(1.0, limit / peak)

@@ -150,7 +150,7 @@ def test_criterion_05_self_adjointness(gallery):
     rng = np.random.default_rng(77)
     lines = []
     for name, bg in gallery.items():
-        a = 2.0 * bg.m_field
+        a = 2.0 * bg.m
         w = bg.rho_pow_2beta * bg.mesh.areas
         worst = 0.0
         for _ in range(10):

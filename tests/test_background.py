@@ -12,10 +12,12 @@ from conesphere.background import (
     gauss_bonnet,
     mean_laplacian_zero,
 )
+from conesphere.diagnostics import spectrum
 from conesphere.divisor import ConePoint, Divisor, equatorial_divisor, flagship_divisor
 from conesphere.divisor import divisor, euler_characteristic
 from conesphere.errors import BackgroundError, NormalizationError, ShapeError
-from conesphere.mesh import build_mesh
+from conesphere.mesh import build_mesh, write_csv
+from conesphere.solver import linearize, newton_solve
 
 from conftest import random_pinned
 
@@ -23,7 +25,7 @@ from conftest import random_pinned
 def test_background_fields_sane(flagship_bg_small):
     bg = flagship_bg_small
     half_chi = 0.5 * euler_characteristic(bg.divisor)
-    assert np.all(bg.m_field == half_chi)
+    assert np.all(bg.m == half_chi)
     free = np.ones(bg.n_vertices, bool)
     free[bg.cone_vertices] = False
     assert np.all(bg.k_beta[free] > 0.0)
@@ -109,6 +111,41 @@ def test_empty_divisor_background(round_bg4):
     assert len(bg.cone_vertices) == 0
     assert np.allclose(bg.k_beta, 1.0, atol=1e-14)
     assert np.allclose(bg.rho_pow_2beta, 1.0, atol=1e-14)
+
+
+def test_stored_free_nodes_and_curvature_factor(flagship_bg_small, football2_graded, round_bg4):
+    for bg in (flagship_bg_small, football2_graded[0], round_bg4):
+        free = np.ones(bg.n_vertices, bool)
+        free[bg.cone_vertices] = False
+        assert np.array_equal(bg.free, np.flatnonzero(free))
+        assert bg.m == euler_characteristic(bg.divisor) / 2
+    # the empty divisor: chi = 2, and no node to pin
+    assert euler_characteristic(round_bg4.divisor) == 2.0
+    u = np.random.default_rng(5).standard_normal(round_bg4.n_vertices)
+    assert np.array_equal(round_bg4._check_pinned(u), u)
+
+
+# every entry point that takes a node field, called with one of the wrong length
+_NODE_FIELD_CALLS = {
+    "laplace": lambda bg, f, path: bg.mesh.laplace(f),
+    "write_csv": lambda bg, f, path: write_csv(path, bg.mesh, f),
+    "curvature_map": lambda bg, f, path: curvature_map(bg, f),
+    "gauss_bonnet": lambda bg, f, path: gauss_bonnet(bg, f),
+    "delta_beta_apply": lambda bg, f, path: delta_beta_apply(bg, f),
+    "newton_solve_u0": lambda bg, f, path: newton_solve(bg, bg.k_beta, f),
+    "spectrum_density": lambda bg, f, path: spectrum(bg, 2, f),
+    "linearize": lambda bg, f, path: linearize(bg, f),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("call", sorted(_NODE_FIELD_CALLS))
+def test_node_field_of_wrong_length_raises_shape_error(flagship_bg_small, tmp_path, call, extra):
+    bg = flagship_bg_small
+    n = bg.n_vertices
+    with pytest.raises(ShapeError, match=rf"has shape \({n + extra},\), mesh has {n} nodes"):
+        _NODE_FIELD_CALLS[call](bg, np.zeros(n + extra), tmp_path / "f.csv")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_zero_exponent_point_is_no_cone():

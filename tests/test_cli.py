@@ -496,6 +496,20 @@ def test_example_triangle(tmp_path):
         assert main(args) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--name", "triangle", "--angles", "4", "4", "4"],
+    ["--name", "triangle", "--angles", "0.5", "0.5", "0.5"],
+    ["--name", "triangle", "--angles", "nan", "1", "1"],
+    ["--name", "football", "--k", "1"],
+], ids=["angles-above-pi", "angle-sum-below-pi", "nan-angle", "k-1"])
+def test_example_out_of_range_arguments_exit_2(tmp_path, capsys, args):
+    # the library's validators judge the example's arguments, as they judge a
+    # job's, and what they reject is bad input
+    assert main(["example", *args, "--out", str(tmp_path)]) == 2
+    assert "configuration error: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "example.json").exists()
+
+
 def test_example_football(tmp_path):
     assert main(["example", "--name", "football", "--k", "3", "--out", str(tmp_path)]) == 0
     rep = read_report(tmp_path, "example.json")["report"]

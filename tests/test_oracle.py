@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conesphere.background import (
-    _free_nodes,
     _three_cone_log_factor,
     build_background,
     three_cone_factor,
@@ -21,7 +20,7 @@ from conesphere.solver import SolverConfig, continuation_solve
 def oracle_error(bg):
     u, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-8))
     assert rep.converged
-    free = _free_nodes(bg)
+    free = bg.free
     return float(np.max(np.abs(u[free] - three_cone_factor(bg)[free])))
 
 

@@ -180,7 +180,7 @@ def test_float32_factor_refines_to_the_float64_solve(name, request):
     J = _jacobian(bg, u, lap_u)
     lu32 = solver._factor(J.astype(np.float32), bg.mesh.ordering())
     assert lu32.lu.solve(np.zeros(J.shape[0], np.float32)).dtype == np.float32
-    d = solver._refined_solve(lu32, J, F)
+    d, _ = solver._refined_solve(lu32, J, F)
     ref = solver._factor(J, bg.mesh.ordering()).solve(-F)
     assert d.dtype == np.float64
     assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -206,9 +206,24 @@ def test_diverging_refinement_returns_the_better_iterate(flagship_bg_small, monk
     lu = solver._factor(shifted, bg.mesh.ordering())
     first = np.max(np.abs(J @ lu.solve(-F) + F))
     solves = lu.solves
-    d = solver._refined_solve(lu, J, F)
+    d, _ = solver._refined_solve(lu, J, F)
     assert lu.solves - solves == 2
     assert np.max(np.abs(J @ d + F)) <= first
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_refined_solve_returns_the_residual_of_its_correction(flagship_bg_small, shift):
+    # Newton's singular test reads this value in place of its own J d + F: it
+    # is that of the d returned, also when a diverging refinement step
+    # (the LU of J + I) is taken back
+    bg = flagship_bg_small
+    u = pinned_test_factor(bg, north=0.5, south=0.2)
+    F, lap_u = _residual(bg, u, solver._product_field(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
+    F *= bg.mesh.areas / np.mean(bg.mesh.areas)
+    J = _jacobian(bg, u, lap_u)
+    shifted = (J + shift * scipy.sparse.identity(J.shape[0])).tocsc().astype(np.float32)
+    d, sup = solver._refined_solve(solver._factor(shifted, bg.mesh.ordering()), J, F)
+    assert sup == np.max(np.abs(J @ d + F))
 
 
 def _perturbed_factor(monkeypatch, count=None):
@@ -291,9 +306,9 @@ def test_failed_chord_step_refactors_at_same_u(flagship_bg_small, monkeypatch):
 
     def spy_solve(lu, J, F, *rest):
         solves.append((len(made), len(residual_at)))
-        d = refined(lu, J, F, *rest)
+        d, sup = refined(lu, J, F, *rest)
         # halve the first chord step: it then cuts the residual only twofold
-        return 0.5 * d if len(solves) == 2 else d
+        return (0.5 * d, sup) if len(solves) == 2 else (d, sup)
 
     monkeypatch.setattr(solver, "_residual", spy_residual)
     monkeypatch.setattr(solver, "_jacobian", spy_jacobian)
@@ -316,9 +331,9 @@ def _record_corrections(monkeypatch):
 
     def spy(lu, J, F, *rest):
         fresh, solves = lu.solves == 0, lu.solves
-        d = refined(lu, J, F, *rest)
+        d, sup = refined(lu, J, F, *rest)
         log.append((fresh, lu.solves - solves, np.max(np.abs(J @ d + F)) / np.max(np.abs(F))))
-        return d
+        return d, sup
 
     monkeypatch.setattr(solver, "_refined_solve", spy)
     return log
@@ -392,7 +407,7 @@ def test_nan_never_passes(flagship_bg_small):
     with pytest.raises(ConesphereError):
         newton_solve(bg, bg.k_beta, u0)
     K = np.ones(bg.n_vertices)
-    K[solver._free_nodes(bg)[0]] = np.nan
+    K[bg.free[0]] = np.nan
     with pytest.raises(NonPositiveTarget, match="1 non-cone nodes"):
         continuation_solve(bg, K)
 
@@ -432,7 +447,7 @@ def test_ordered_factorization_fills_less_than_colamd(round_bg5):
 def test_kernel_gap_free_order_is_a_permutation(flagship_bg_small):
     bg = flagship_bg_small
     order = diagnostics._free_order(bg)
-    assert np.array_equal(np.sort(order), np.arange(len(solver._free_nodes(bg))))
+    assert np.array_equal(np.sort(order), np.arange(len(bg.free)))
 
 
 def test_diagnostics_match_colamd_factorization(flagship_bg_small, monkeypatch):
