@@ -1,14 +1,18 @@
 """Command line front end.
 
 Subcommands operate on a JSON job configuration (divisor, target curvature,
-mesh, weights, solver settings, outputs) and write JSON reports plus optional
-CSV field dumps and an OFF mesh export.  Exit codes: 0 on success, 1 when the
-mathematics fails (inadmissible data, solver divergence), 2 on configuration
-or usage errors.
+mesh, weights, solver settings, outputs); `example` runs a built-in geometry
+instead.  Each command computes and returns its payload; `main` alone parses
+the job, adds it resolved as "config", and writes the command's report file
+(`_COMMANDS`), next to which `solve` may put CSV field dumps and an OFF mesh.
+Exit codes: 0 on success, 1 when the mathematics fails (inadmissible data,
+solver divergence), 2 on configuration or usage errors.  An error that
+escapes a command leaves no report; `solve` records its own failure in
+solve.json and exits 1.
 
-Reports are deterministic: the payload is serialized with sorted keys and the
-wall-clock timestamp lives in its own top-level field, so two runs of the same
-job differ in that field only.
+Reports are strict JSON, {"report": payload, "timestamp": ...}: the payload is
+serialized with sorted keys and the wall-clock timestamp lives in its own
+top-level field, so two runs of the same job differ in that field only.
 """
 
 from __future__ import annotations
@@ -259,34 +263,24 @@ def _write_report(out_dir, name, payload):
         "report": payload,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, name), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=dataclasses.asdict)
         fh.write("\n")
-    return path
 
 
-def _print_lines(payload, prefix=""):
+def _print_lines(payload):
     for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, dict):
-            _print_lines(value, prefix=f"{prefix}{key}.")
-        else:
-            print(f"{prefix}{key}: {value}")
+        print(f"{key}: {payload[key]}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes (job, args), prints its summary and returns
+# (payload, exit code); main writes the payload as the command's report.
 
 
-def cmd_check(args) -> int:
-    job = Job(args.config)
+def cmd_check(job, args):
     scope = solver_scope_check(job.divisor)
-    payload = {
-        "config": job.resolved(),
-        "scope": scope,
-        "euler_characteristic": euler_characteristic(job.divisor),
-    }
+    payload = {"scope": scope, "euler_characteristic": euler_characteristic(job.divisor)}
     passed = scope.passed
     if len(job.divisor) >= 3:
         payload["troyanov"] = troyanov_check(job.divisor)
@@ -294,9 +288,8 @@ def cmd_check(args) -> int:
         payload["weights"] = wrep = weight_admissible(job.weights, job.divisor)
         passed = passed and wrep.passed
     payload["passed"] = passed
-    _write_report(args.out, "check.json", payload)
     _print_lines({"passed": passed, "chi": payload["euler_characteristic"]})
-    return 0 if passed else 1
+    return payload, 0 if passed else 1
 
 
 def _cone_entries(bg, u):
@@ -309,9 +302,7 @@ def _cone_entries(bg, u):
     return entries
 
 
-def cmd_solve(args) -> int:
-    job = Job(args.config)
-    payload = {"config": job.resolved()}
+def cmd_solve(job, args):
     try:
         bg = job.background()
         K, manufactured = job.resolve_target(bg)
@@ -319,13 +310,9 @@ def cmd_solve(args) -> int:
     except ConfigError:
         raise
     except ConesphereError as exc:
-        payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _write_report(args.out, "solve.json", payload)
         print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    payload["solver"] = report
-    payload["n_vertices"] = bg.n_vertices
-    payload["cones"] = _cone_entries(bg, u)
+        return {"error": {"type": type(exc).__name__, "message": str(exc)}}, 1
+    payload = {"solver": report, "n_vertices": bg.n_vertices, "cones": _cone_entries(bg, u)}
     if manufactured is not None:
         payload["manufactured_error"] = float(np.max(np.abs(u - manufactured)))
     if job.config["outputs"]["fields"]:
@@ -336,61 +323,43 @@ def cmd_solve(args) -> int:
         write_csv(os.path.join(args.out, "k_beta.csv"), bg.mesh, bg.k_beta)
     if job.config["outputs"]["mesh_off"]:
         write_off(os.path.join(args.out, "mesh.off"), bg.mesh)
-    _write_report(args.out, "solve.json", payload)
     summary = dataclasses.asdict(report)
     _print_lines({k: v for k, v in summary.items() if k not in ("continuation_path", "warnings")})
-    return 0
+    return payload, 0
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(job, args):
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
-    job = Job(args.config)
     bg = job.background()
     n = bg.n_vertices
     if args.count >= n - 1:
         raise ConfigError(f"--count must be below {n - 1} (the mesh has {n} nodes), got {args.count}")
     result = spectrum(bg, args.count)
-    payload = {
-        "config": job.resolved(),
-        "count": args.count,
-        "weighted": True,
-        "eigenvalues": [float(v) for v in result.eigenvalues],
-    }
-    _write_report(args.out, "spectrum.json", payload)
     for i, lam in enumerate(result.eigenvalues):
         print(f"lambda_{i}: {lam:.12g}")
-    return 0
+    eigenvalues = [float(v) for v in result.eigenvalues]
+    return {"count": args.count, "weighted": True, "eigenvalues": eigenvalues}, 0
 
 
-def cmd_symmetries(args) -> int:
-    job = Job(args.config)
+def cmd_symmetries(job, args):
     maps = enumerate_conformal_symmetries(job.divisor)
     entries = [
         {"coefficients": [[float(c.real), float(c.imag)] for c in phi.matrix.ravel()]}
         for phi in maps
     ]
-    payload = {"config": job.resolved(), "group_order": len(maps), "maps": entries}
-    _write_report(args.out, "symmetries.json", payload)
     print(f"group_order: {len(maps)}")
-    return 0
+    return {"group_order": len(maps), "maps": entries}, 0
 
 
-def cmd_gauss_bonnet(args) -> int:
-    job = Job(args.config)
+def cmd_gauss_bonnet(job, args):
     bg = job.background()
     report = gauss_bonnet(bg, np.zeros(bg.n_vertices))
-    payload = {
-        "config": job.resolved(),
-        "gauss_bonnet": report,
-        "euler_characteristic": euler_characteristic(job.divisor),
-    }
-    _write_report(args.out, "gauss_bonnet.json", payload)
     _print_lines(dataclasses.asdict(report))
-    return 0
+    return {"gauss_bonnet": report, "euler_characteristic": euler_characteristic(job.divisor)}, 0
 
 
-def _football_example(k, out_dir) -> int:
+def _football_example(k):
     div = _build(football_divisor, "football example", k)
     # graded mesh for quadrature (area, first eigenvalue); the stencil at
     # grading transitions is not pointwise consistent, so the nodewise
@@ -412,27 +381,25 @@ def _football_example(k, out_dir) -> int:
     dev = K[mask] - 1.0
     rms = float(np.sqrt(np.sum(dev**2 * plain.areas[mask]) / np.sum(plain.areas[mask])))
 
-    payload = {
-        "example": {"name": "football", "k": k},
-        "betas": [float(b) for b in div.betas],
-        "area": {"value": area, "target": area_target,
-                 "relative_error": abs(area - area_target) / area_target},
-        "eigenvalues": [float(v) for v in eig.eigenvalues],
-        "curvature_rms_deviation": rms,
-        "symmetry_group_order": None,
-    }
-    _write_report(out_dir, "example.json", payload)
+    relative_error = abs(area - area_target) / area_target
     _print_lines(
         {
-            "area_relative_error": payload["area"]["relative_error"],
+            "area_relative_error": relative_error,
             "lambda_1": float(eig.eigenvalues[1]),
             "curvature_rms_deviation": rms,
         }
     )
-    return 0
+    return {
+        "example": {"name": "football", "k": k},
+        "betas": [float(b) for b in div.betas],
+        "area": {"value": area, "target": area_target, "relative_error": relative_error},
+        "eigenvalues": [float(v) for v in eig.eigenvalues],
+        "curvature_rms_deviation": rms,
+        "symmetry_group_order": None,
+    }
 
 
-def _triangle_example(angles, out_dir) -> int:
+def _triangle_example(angles):
     div = _build(triangle_double_divisor, "triangle example", *angles)
     scope = solver_scope_check(div)
     maps = enumerate_conformal_symmetries(div)
@@ -453,7 +420,6 @@ def _triangle_example(angles, out_dir) -> int:
         gb = None
         payload["gauss_bonnet_unavailable"] = f"{type(exc).__name__}: {exc}"
     payload["gauss_bonnet"] = gb
-    _write_report(out_dir, "example.json", payload)
     _print_lines(
         {
             "scope_passed": scope.passed,
@@ -461,21 +427,33 @@ def _triangle_example(angles, out_dir) -> int:
             "symmetry_group_order": len(maps),
         }
     )
-    return 0
+    return payload
 
 
-def cmd_example(args) -> int:
+def cmd_example(job, args):
     if args.name == "football":
-        return _football_example(args.k if args.k is not None else 2, args.out)
+        return _football_example(args.k if args.k is not None else 2), 0
     if args.name == "triangle":
         if args.angles is None:
             raise ConfigError("triangle example needs --angles A B C (in radians)")
-        return _triangle_example(args.angles, args.out)
+        return _triangle_example(args.angles), 0
     raise ConfigError(f"unknown example '{args.name}' (expected 'football' or 'triangle')")
 
 
 # ---------------------------------------------------------------------------
 # Entry point
+
+# name: (help, command, report file); every command but example reads --config
+_COMMANDS = {
+    "check": ("validate divisor, Troyanov margins, weights", cmd_check, "check.json"),
+    "solve": ("run the continuation solver for the configured target", cmd_solve, "solve.json"),
+    "spectrum": ("lowest eigenvalues of the weighted Laplacian", cmd_spectrum, "spectrum.json"),
+    "symmetries": ("enumerate conformal symmetries of the divisor", cmd_symmetries,
+                   "symmetries.json"),
+    "gauss-bonnet": ("total-curvature certificate for the background", cmd_gauss_bonnet,
+                     "gauss_bonnet.json"),
+    "example": ("built-in exact geometries with diagnostics", cmd_example, "example.json"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,52 +462,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prescribed Gaussian curvature on the sphere with conical singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_config(p):
+    for name, (text, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == "example":
+            p.add_argument("--name", required=True, help="'football' or 'triangle'")
+            p.add_argument("--k", type=int, default=None, help="football cone order (k >= 2)")
+            p.add_argument("--angles", type=float, nargs=3, default=None,
+                           help="triangle corner angles in radians")
+            p.add_argument("--out", default=".", help="directory for reports")
+            continue
         p.add_argument("--config", required=True, help="path to a JSON job configuration")
         p.add_argument("--out", default=".", help="directory for reports and field dumps")
-
-    p = sub.add_parser("check", help="validate divisor, Troyanov margins, weights")
-    with_config(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("solve", help="run the continuation solver for the configured target")
-    with_config(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("spectrum", help="lowest eigenvalues of the weighted Laplacian")
-    with_config(p)
-    p.add_argument("--count", type=int, default=6, help="number of eigenvalues")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("symmetries", help="enumerate conformal symmetries of the divisor")
-    with_config(p)
-    p.set_defaults(func=cmd_symmetries)
-
-    p = sub.add_parser("gauss-bonnet", help="total-curvature certificate for the background")
-    with_config(p)
-    p.set_defaults(func=cmd_gauss_bonnet)
-
-    p = sub.add_parser("example", help="built-in exact geometries with diagnostics")
-    p.add_argument("--name", required=True, help="'football' or 'triangle'")
-    p.add_argument("--k", type=int, default=None, help="football cone order (k >= 2)")
-    p.add_argument("--angles", type=float, nargs=3, default=None,
-                   help="triangle corner angles in radians")
-    p.add_argument("--out", default=".", help="directory for reports")
-    p.set_defaults(func=cmd_example)
-
+        if name == "spectrum":
+            p.add_argument("--count", type=int, default=6, help="number of eigenvalues")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, command, report = _COMMANDS[args.command]
     try:
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-        return args.func(args)
+        job = Job(args.config) if "config" in args else None
+        payload, code = command(job, args)
+        if job is not None:
+            payload["config"] = job.resolved()
+        _write_report(args.out, report, payload)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -172,8 +172,12 @@ def _nearest_indicial(gamma: float, betas: np.ndarray):
 
 @dataclass(frozen=True)
 class WeightReport:
+    """Per weight: positivity, and nearest_forbidden, the nearest indicial value
+    m/beta_j with |m| <= 10^6 and its distance, or (None, None) when there is
+    none (every beta is 0, or gamma * |beta_j| > 10^6 + 1)."""
+
     passed: bool
-    nearest_forbidden: tuple  # per weight: (value or None, distance)
+    nearest_forbidden: tuple
     positivity: tuple
 
     def __bool__(self) -> bool:
@@ -192,7 +196,7 @@ def weight_admissible(spec: WeightSpec, div: Divisor) -> WeightReport:
         pos_ok = g > 0.0
         positivity.append(pos_ok)
         val, dist = _nearest_indicial(g, betas)
-        nearest.append((val, dist))
+        nearest.append((val, None if val is None else dist))  # JSON has no inf
         if not pos_ok or dist <= _INDICIAL_TOL:
             ok = False
     return WeightReport(passed=ok, nearest_forbidden=tuple(nearest), positivity=tuple(positivity))

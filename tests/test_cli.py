@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conesphere.cli
-from conesphere.cli import main
+from conesphere.cli import Job, main
 from conesphere.mesh import build_mesh, write_csv
 from conesphere.divisor import WeightSpec, flagship_divisor, weight_admissible
 from conesphere.solver import SolverConfig
@@ -46,6 +46,16 @@ def read_report(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
 
+def strict_json(path):
+    """The JSON document at path, read as RFC 8259 parsers read it: a bare NaN,
+    Infinity or -Infinity raises."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def test_check_passes(tmp_path):
     cfg = write_config(tmp_path, flagship_config())
     assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -71,6 +81,16 @@ def test_check_weights_reported(tmp_path):
     assert main(["check", "--config", path, "--out", str(tmp_path)]) == 0
     rep = read_report(tmp_path, "check.json")["report"]
     assert rep["weights"]["passed"] is True
+
+
+def test_check_weight_without_an_indicial_value_is_strict_json(tmp_path):
+    # gamma * |beta| >= 3e6 leaves no m/beta with |m| <= 10^6 in reach: its
+    # distance was written as a bare Infinity
+    path = write_config(tmp_path, flagship_config(weights={"gamma": [1e7, 0.5, 0.5]}))
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 0
+    weights = strict_json(tmp_path / "check.json")["report"]["weights"]
+    assert weights["nearest_forbidden"][0] == [None, None]
+    assert weights["passed"] is True
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -263,16 +283,40 @@ def test_solve_writes_fields_and_report(tmp_path):
     assert header == "x,y,z,value"
 
 
-def test_solve_reports_are_deterministic(tmp_path):
+REPORT_RUNS = {
+    "check": (["check"], "check.json"),
+    "solve": (["solve"], "solve.json"),
+    "spectrum": (["spectrum", "--count", "3"], "spectrum.json"),
+    "symmetries": (["symmetries"], "symmetries.json"),
+    "gauss-bonnet": (["gauss-bonnet"], "gauss_bonnet.json"),
+    "football": (["example", "--name", "football", "--k", "2"], "example.json"),
+    "triangle": (["example", "--name", "triangle", "--angles", "2.0", "2.0", "2.0"],
+                 "example.json"),
+}
+
+
+@pytest.mark.parametrize("run", list(REPORT_RUNS))
+def test_solve_reports_are_deterministic(tmp_path, run):
+    # every report is strict JSON {"report", "timestamp"}, two runs differ in
+    # the timestamp only, and a config command's report carries the resolved job
+    argv, name = REPORT_RUNS[run]
     path = write_config(tmp_path, flagship_config())
+    if argv[0] != "example":
+        argv = [*argv, "--config", path]
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
-    assert main(["solve", "--config", path, "--out", str(a_dir)]) == 0
-    assert main(["solve", "--config", path, "--out", str(b_dir)]) == 0
-    a = json.loads((a_dir / "solve.json").read_text())
-    b = json.loads((b_dir / "solve.json").read_text())
+    assert main([*argv, "--out", str(a_dir)]) == 0
+    assert main([*argv, "--out", str(b_dir)]) == 0
+    a = strict_json(a_dir / name)
+    b = strict_json(b_dir / name)
     assert a["report"] == b["report"]
-    assert (a_dir / "u.csv").read_text() == (b_dir / "u.csv").read_text()
+    assert set(a) == {"report", "timestamp"}
+    if argv[0] == "example":
+        assert "config" not in a["report"]
+    else:
+        assert a["report"]["config"] == Job(path).resolved()
+    if run == "solve":
+        assert (a_dir / "u.csv").read_text() == (b_dir / "u.csv").read_text()
 
 
 @pytest.mark.parametrize("grading", [0, 3])
