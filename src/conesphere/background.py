@@ -24,7 +24,7 @@ import numpy as np
 from .divisor import Divisor, euler_characteristic, geodesic_distance
 from .errors import BackgroundError, NormalizationError, ShapeError
 from .mesh import SphereMesh
-from .moebius import _project_hom, conformal_distortion, moebius_from_triples
+from .moebius import _chart_image, moebius_from_triples
 
 
 @dataclass
@@ -175,14 +175,9 @@ def three_cone_factor(bg: ConicalBackground) -> np.ndarray:
     every node.  At a non-cone node it is the metric's log factor, its cones
     moved to w = 0, 1, inf, minus 1/2 log rho^{2 beta}; a cone vertex takes
     the mean over its 1-ring."""
-    mesh, free = bg.mesh, bg.free
     phi = moebius_from_triples(bg.divisor.positions, [[0, 0, -1], [1, 0, 0], [0, 0, 1]])
-    x = mesh.vertices[free]
-    z, s = _project_hom(x)
-    w = (phi.a * z + phi.b * s) / (phi.c * z + phi.d * s)  # phi(x) in the chart
+    p, q, eta = _chart_image(phi, bg.mesh.vertices[bg.free])
     u = np.empty(bg.n_vertices)
-    u[free] = (_three_cone_log_factor(w, bg.divisor.betas)
-               + np.log(conformal_distortion(phi, x)) + 0.5 * np.log(bg.rho_pow_neg2beta[free]))
-    for c in mesh.cone_vertices:
-        u[c] = np.mean(u[mesh.ring(c)])
-    return u
+    u[bg.free] = (_three_cone_log_factor(p / q, bg.divisor.betas)
+                  + np.log(eta) + 0.5 * np.log(bg.rho_pow_neg2beta[bg.free]))
+    return bg.mesh._fill_cones(u)

@@ -361,6 +361,9 @@ def cmd_gauss_bonnet(job, args):
 
 def _football_example(k):
     div = _build(football_divisor, "football example", k)
+    if k > _FOOTBALL_MAX_K:
+        raise ConfigError(f"invalid football example: k = {k} is above {_FOOTBALL_MAX_K}, "
+                          "the largest its mesh resolves")
     # graded mesh for quadrature (area, first eigenvalue); the stencil at
     # grading transitions is not pointwise consistent, so the nodewise
     # curvature check runs on an ungraded mesh instead
@@ -432,7 +435,7 @@ def _triangle_example(angles):
 
 def cmd_example(job, args):
     if args.name == "football":
-        return _football_example(args.k if args.k is not None else 2), 0
+        return _football_example(args.k), 0
     if args.name == "triangle":
         if args.angles is None:
             raise ConfigError("triangle example needs --angles A B C (in radians)")
@@ -442,6 +445,9 @@ def cmd_example(job, args):
 
 # ---------------------------------------------------------------------------
 # Entry point
+
+# the football example's base-5 / grading-3 mesh resolves k <= 3: at 4, lambda_1 is 2.46, not 2
+_FOOTBALL_MAX_K = 3
 
 # name: (help, command, report file); every command but example reads --config
 _COMMANDS = {
@@ -466,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         if name == "example":
             p.add_argument("--name", required=True, help="'football' or 'triangle'")
-            p.add_argument("--k", type=int, default=None, help="football cone order (k >= 2)")
+            p.add_argument("--k", type=int, default=2, help=f"football order, 2-{_FOOTBALL_MAX_K}")
             p.add_argument("--angles", type=float, nargs=3, default=None,
                            help="triangle corner angles in radians")
             p.add_argument("--out", default=".", help="directory for reports")

@@ -117,9 +117,6 @@ class TroyanovReport:
     passed: bool
     margins: tuple
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def troyanov_check(div: Divisor) -> TroyanovReport:
     """Margins beta_j - sum_{i != j} beta_i; all must be positive.
@@ -215,13 +212,6 @@ class ScopeReport:
     distinct_triple: bool
     passed: bool  # all of the above
 
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def _has_distinct_triple(betas: np.ndarray) -> bool:
-    return len(set(np.round(betas, 14))) >= 3
-
 
 def solver_scope_check(div: Divisor) -> ScopeReport:
     """All hypotheses required for the continuation solver, reported itemwise."""
@@ -234,7 +224,7 @@ def solver_scope_check(div: Divisor) -> ScopeReport:
     else:
         troy_ok, margins = False, ()
     chi = euler_characteristic(div)
-    distinct = _has_distinct_triple(betas)
+    distinct = len(set(np.round(betas, 14))) >= 3
     return ScopeReport(
         n_at_least_3=n_ok,
         betas_in_range=range_ok,

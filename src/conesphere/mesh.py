@@ -159,16 +159,16 @@ def _snap_cones(verts, faces, positions):
 
 
 def _orient(tri, lens):
-    """Faces `tri` rotated longest edge first, with their edge lengths (row i
-    of `lens` holds those of edges ab, bc, ca of face i).  Edges are keyed
-    (length, lo * n + hi), so equal lengths go to the larger sorted pair and
-    the two faces on an edge agree on it.  Vertex ids break only exact ties;
-    on the graded meshes measured, every such tie lay among base vertices,
-    whose ids do not depend on the order of the splits."""
+    """The rotation (columns for np.take_along_axis) that puts each face of
+    `tri` longest edge first; row i of `lens` holds the lengths of edges ab,
+    bc, ca of face i.  Edges are keyed (length, lo * n + hi), so equal
+    lengths go to the larger sorted pair and the two faces on an edge agree
+    on it.  Vertex ids break only exact ties; on the graded meshes measured,
+    every such tie lay among base vertices, whose ids do not depend on the
+    order of the splits."""
     nxt = tri[:, [1, 2, 0]]
     pair = np.minimum(tri, nxt) * (int(tri.max()) + 1) + np.maximum(tri, nxt)
-    turn = (np.lexsort((pair, lens))[:, -1:] + np.arange(3)) % 3
-    return np.take_along_axis(tri, turn, axis=1), np.take_along_axis(lens, turn, axis=1)
+    return (np.lexsort((pair, lens))[:, -1:] + np.arange(3)) % 3
 
 
 # A split of (a, b, c) and its neighbour (b, a, d) at the midpoint m of ab
@@ -220,13 +220,12 @@ class _Grading:
     def _append(self, tri, lens, nbrs):
         """Append the faces `tri` rotated longest edge first, with the lengths
         of their edges ab, bc, ca and the faces across them."""
-        rot, lens = _orient(tri, lens)
-        turn = np.argmax(tri == rot[:, :1], axis=1)
-        nbrs = np.take_along_axis(nbrs, (turn[:, None] + np.arange(3)) % 3, axis=1)
+        turn = _orient(tri, lens)
+        tri, lens, nbrs = (np.take_along_axis(a, turn, axis=1) for a in (tri, lens, nbrs))
         f, n = self.nf, self.nf + len(tri)
         self.T, self.L, self.N, self.alive = (
             _grown(a, n) for a in (self.T, self.L, self.N, self.alive))
-        self.T[f:n], self.L[f:n], self.N[f:n], self.alive[f:n] = rot, lens, nbrs, True
+        self.T[f:n], self.L[f:n], self.N[f:n], self.alive[f:n] = tri, lens, nbrs, True
         self.nf = n
 
     def _split(self, t):
@@ -366,10 +365,8 @@ def lumped_node_areas(verts, faces, cot):
     the pointwise Laplacian consistent at the twelve valence-5 vertices,
     where plain barycentric lumping misweights the stencil by an O(1) factor.
     """
-    a = verts[faces[:, 0]]
-    b = verts[faces[:, 1]]
-    c = verts[faces[:, 2]]
-    corners = [a, b, c]
+    corners = verts[faces.T]
+    a, b, c = corners
     flat_area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
     contrib = np.zeros((len(faces), 3))
     for k in range(3):
@@ -378,12 +375,10 @@ def lumped_node_areas(verts, faces, cot):
         share = np.einsum("ij,ij->i", edge, edge) * cot[:, k] / 8.0
         contrib[:, i] += share
         contrib[:, j] += share
-    # obtuse triangles: circumcenter lies outside, use the standard fallback
+    # obtuse at corner i (cotangent in column j below 0): circumcenter outside, standard fallback
     for k in range(3):
         i, j, o = k, (k + 1) % 3, (k + 2) % 3
-        u = corners[j] - corners[i]
-        w = corners[o] - corners[i]
-        obtuse = np.einsum("ij,ij->i", u, w) < 0.0
+        obtuse = cot[:, j] < 0.0
         contrib[obtuse, i] = flat_area[obtuse] / 2.0
         contrib[obtuse, j] = flat_area[obtuse] / 4.0
         contrib[obtuse, o] = flat_area[obtuse] / 4.0
@@ -517,6 +512,12 @@ class SphereMesh:
         W = self.stiffness
         row = W.indices[W.indptr[v] : W.indptr[v + 1]]
         return row[row != v]
+
+    def _fill_cones(self, f):
+        """f with each cone vertex in turn set to the mean of f over its 1-ring."""
+        for c in self.cone_vertices:
+            f[c] = np.mean(f[self.ring(c)])
+        return f
 
     def ordering(self) -> np.ndarray:
         """Fill-reducing order of the nodes for sparse LU of matrices with the

@@ -57,6 +57,18 @@ def _unproject_hom(z, w):
     return np.stack([xy.real, xy.imag, h], axis=-1)
 
 
+def _act(mat, z, w):
+    """The action on [z : w] of a matrix, or of each of a stack (..., 2, 2)."""
+    return mat[..., 0, 0] * z + mat[..., 0, 1] * w, mat[..., 1, 0] * z + mat[..., 1, 1] * w
+
+
+def _chart_image(phi, points):
+    """phi(x) as [p : q] in the chart, and conformal_distortion's eta at x."""
+    z, w = _project_hom(points)
+    p, q = _act(phi.matrix, z, w)
+    return p, q, (np.abs(z) ** 2 + np.abs(w) ** 2) / (np.abs(p) ** 2 + np.abs(q) ** 2)
+
+
 def _normalizer(z, w):
     """Matrix of the Moebius map sending the homogeneous triple to (0, 1, inf).
 
@@ -116,8 +128,7 @@ class MoebiusMap:
     def apply(self, points):
         """Image of one point (shape (3,)) or many (shape (n, 3))."""
         single = np.asarray(points).ndim == 1
-        z, w = _project_hom(points)
-        out = _unproject_hom(self.a * z + self.b * w, self.c * z + self.d * w)
+        out = _unproject_hom(*_act(self.matrix, *_project_hom(points)))
         return out[0] if single else out
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
@@ -150,12 +161,8 @@ def conformal_distortion(phi: MoebiusMap, points):
     eta = (|z|^2 + |w|^2) / (|az + bw|^2 + |cz + dw|^2) for ad - bc = 1,
     which is manifestly finite and positive everywhere (and identically 1
     exactly when the matrix is unitary, i.e. for rotations)."""
-    single = np.asarray(points).ndim == 1
-    z, w = _project_hom(points)
-    num = np.abs(z) ** 2 + np.abs(w) ** 2
-    den = np.abs(phi.a * z + phi.b * w) ** 2 + np.abs(phi.c * z + phi.d * w) ** 2
-    eta = num / den
-    return float(eta[0]) if single else eta
+    eta = _chart_image(phi, points)[2]
+    return float(eta[0]) if np.asarray(points).ndim == 1 else eta
 
 
 def _induced_permutations(mats, positions, betas, tol):
@@ -169,8 +176,7 @@ def _induced_permutations(mats, positions, betas, tol):
     perms = np.empty((len(mats), n), dtype=int)
     ok = np.empty(len(mats), dtype=bool)
     for s in range(0, len(mats), _BLOCK):
-        m = mats[s : s + _BLOCK, :, :, None]
-        images = _unproject_hom(m[:, 0, 0] * z + m[:, 0, 1] * w, m[:, 1, 0] * z + m[:, 1, 1] * w)
+        images = _unproject_hom(*_act(mats[s : s + _BLOCK, None], z, w))
         dist = np.linalg.norm(images.reshape(-1, n, 1, 3) - positions, axis=3)
         j = np.argmin(dist, axis=2)
         match = (dist.min(axis=2) <= tol) & (np.abs(betas[j] - betas) <= _BETA_TOL)

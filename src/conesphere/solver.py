@@ -136,10 +136,7 @@ def _product_field(bg: ConicalBackground, K):
     factor; rho^{2 beta} k_beta = chi / 2 at every node, so the extension is
     exact for the identity target on any mesh, and for the manufactured
     target wherever its factor vanishes on the ring."""
-    G = bg.rho_pow_2beta * K
-    for c in bg.mesh.cone_vertices:
-        G[c] = float(np.mean(G[bg.mesh.ring(c)]))
-    return G
+    return bg.mesh._fill_cones(bg.rho_pow_2beta * K)
 
 
 def _residual(bg: ConicalBackground, u, G):

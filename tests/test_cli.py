@@ -147,6 +147,11 @@ BAD_SETTINGS = {
     "outputs": lambda cfg: cfg.update(outputs={"fields": "no"}),
     # this used to pass check, and solve then read a file named "5"
     "grid path": lambda cfg: cfg.update(target={"type": "grid", "path": 5}),
+    "position length": lambda cfg: cfg["divisor"][0].update(position=[1.0, 0.0]),
+    "zero position": lambda cfg: cfg["divisor"][0].update(position=[0.0, 0.0, 0.0]),
+    "empty divisor": lambda cfg: cfg.update(divisor=[]),
+    "section not an object": lambda cfg: cfg.update(mesh=[]),
+    "missing key": lambda cfg: cfg["divisor"][0].pop("beta"),
 }
 
 
@@ -544,8 +549,12 @@ def test_example_triangle(tmp_path):
     ["--name", "triangle", "--angles", "4", "4", "4"],
     ["--name", "triangle", "--angles", "0.5", "0.5", "0.5"],
     ["--name", "triangle", "--angles", "nan", "1", "1"],
+    ["--name", "triangle", "--angles", "3.0", "3.0", "0.1"],
     ["--name", "football", "--k", "1"],
-], ids=["angles-above-pi", "angle-sum-below-pi", "nan-angle", "k-1"])
+    ["--name", "football", "--k", "4"],
+    ["--name", "football", "--k", "40"],
+], ids=["angles-above-pi", "angle-sum-below-pi", "nan-angle", "degenerate-side", "k-1", "k-4",
+        "k-40"])
 def test_example_out_of_range_arguments_exit_2(tmp_path, capsys, args):
     # the library's validators judge the example's arguments, as they judge a
     # job's, and what they reject is bad input

@@ -371,7 +371,8 @@ def test_orient_breaks_length_ties_by_the_larger_sorted_pair():
     tri = np.array([[0, 1, 2], [1, 3, 9], [9, 3, 2], [4, 7, 6], [4, 7, 6]])
     lens = np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 1.0], [1.0, 0.5, 1.0],
                      [2.0, 1.0, 2.0], [1.0, 3.0, 2.0]])
-    rotated, rotated_lens = _orient(tri, lens)
+    turn = _orient(tri, lens)
+    rotated, rotated_lens = (np.take_along_axis(a, turn, axis=1) for a in (tri, lens))
     # (1, 2) beats (0, 1) and (0, 2); both faces on edge 3-9 put it first,
     # over the tied (1, 9) and (2, 9); (4, 7) beats (4, 6); a longer edge
     # wins over any pair
