@@ -6,9 +6,9 @@ instead.  Each command computes and returns its payload; `main` alone parses
 the job, adds it resolved as "config", and writes the command's report file
 (`_COMMANDS`), next to which `solve` may put CSV field dumps and an OFF mesh.
 Exit codes: 0 on success, 1 when the mathematics fails (inadmissible data,
-solver divergence), 2 on configuration or usage errors.  An error that
-escapes a command leaves no report; `solve` records its own failure in
-solve.json and exits 1.
+solver divergence), 2 on configuration or usage errors and when the output
+cannot be written.  An error that escapes a command leaves no report; `solve`
+records its own failure in solve.json and exits 1.
 
 Reports are strict JSON, {"report": payload, "timestamp": ...}: the payload is
 serialized with sorted keys and the wall-clock timestamp lives in its own
@@ -98,8 +98,6 @@ def _as_position(value, context):
     if p.shape != (3,):
         raise ConfigError(f"{context} must be [x, y, z] or {{lat, lon}} in degrees")
     nrm = float(np.linalg.norm(p))
-    if nrm < 1e-12:
-        raise ConfigError(f"{context} is the zero vector")
     if abs(nrm - 1.0) > 1e-6:
         raise ConfigError(f"{context} is not a unit vector (|p| = {nrm:.8f})")
     return p / nrm
@@ -123,15 +121,13 @@ def _as_divisor(value, context) -> Divisor:
 
 
 # The parser of a key with a default, by the default's type.  A section
-# (an object, or the absent weights) is kept as it is and parsed by its own
-# schema later.
+# (an object, or the absent weights) has none: it is kept as it is and
+# parsed by its own schema later.
 _PARSERS = {
     bool: _json_type(bool, "true or false"),
     int: _json_type(int, "an integer"),
     float: _as_float,
     str: _as_str,
-    dict: lambda value, context: value,
-    type(None): lambda value, context: value,
 }
 
 
@@ -150,7 +146,7 @@ def _section(raw, schema, context) -> dict:
         raise ConfigError(f"{context} is missing required keys {missing}")
     out = {}
     for key, spec in schema.items():
-        parse = spec if callable(spec) else _PARSERS[type(spec)]
+        parse = spec if callable(spec) else _PARSERS.get(type(spec), lambda value, context: value)
         out[key] = parse(raw[key], f"{context}.{key}") if key in raw else spec
     return out
 
@@ -316,11 +312,10 @@ def cmd_solve(job, args):
     if manufactured is not None:
         payload["manufactured_error"] = float(np.max(np.abs(u - manufactured)))
     if job.config["outputs"]["fields"]:
-        achieved = curvature_map(bg, u)
-        write_csv(os.path.join(args.out, "u.csv"), bg.mesh, u)
-        write_csv(os.path.join(args.out, "k_achieved.csv"), bg.mesh, achieved)
-        write_csv(os.path.join(args.out, "rho.csv"), bg.mesh, bg.rho_pow_2beta)
-        write_csv(os.path.join(args.out, "k_beta.csv"), bg.mesh, bg.k_beta)
+        fields = {"u": u, "k_achieved": curvature_map(bg, u), "rho": bg.rho_pow_2beta,
+                  "k_beta": bg.k_beta}
+        for name, values in fields.items():
+            write_csv(os.path.join(args.out, f"{name}.csv"), bg.mesh, values)
     if job.config["outputs"]["mesh_off"]:
         write_off(os.path.join(args.out, "mesh.off"), bg.mesh)
     summary = dataclasses.asdict(report)
@@ -488,10 +483,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _, command, report = _COMMANDS[args.command]
     try:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory: {exc}") from exc
+        os.makedirs(args.out, exist_ok=True)
         job = Job(args.config) if "config" in args else None
         payload, code = command(job, args)
         if job is not None:
@@ -500,6 +492,9 @@ def main(argv=None) -> int:
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every read reports a ConfigError, so this is a write
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except ConesphereError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -39,11 +39,12 @@ def spectrum(bg: ConicalBackground, count: int,
     at the poles, carries zero mass, the cone-vertex quadrature convention).
 
     Stiffness against the mass areas * density, solved by shift-invert Lanczos
-    with a fixed-seed start vector.  ShapeError unless density has one float per
-    node, DomainError if an entry is negative, infinite or NaN.
+    with a fixed-seed start vector.  DomainError unless count is an integer (not a
+    bool) from 1 to the node count less 2; ShapeError unless density has one
+    float per node, DomainError if an entry is negative, infinite or NaN.
     """
-    if count < 1:
-        raise DomainError("eigenvalue count must be at least 1")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise DomainError(f"eigenvalue count must be an integer of at least 1, got {count!r}")
     n = bg.n_vertices
     if count >= n - 1:
         raise DomainError("eigenvalue count must be well below the node count")

@@ -142,6 +142,8 @@ class WeightSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
+        if not all(math.isfinite(g) for g in self.gamma):
+            raise DomainError(f"weights gamma must be finite, got {self.gamma}")
         if not (0.0 < self.holder_alpha < 1.0):
             raise DomainError(f"holder_alpha must lie in (0,1), got {self.holder_alpha}")
         if not (isinstance(self.order_k, (int, np.integer)) and self.order_k >= 0):
@@ -149,22 +151,16 @@ class WeightSpec:
 
 
 def _nearest_indicial(gamma: float, betas: np.ndarray):
-    """Closest value of the forbidden set {m/beta_j : m integer} to gamma."""
-    best_val = None
-    best_dist = math.inf
-    for b in betas:
-        if b == 0.0:
-            continue
-        m0 = round(gamma * b)
-        for m in (m0 - 1, m0, m0 + 1):
-            if abs(m) > _MAX_INDICIAL_M:
-                continue
-            val = m / b
-            d = abs(gamma - val)
-            if d < best_dist:
-                best_dist = d
-                best_val = val
-    return best_val, best_dist
+    """(value, distance) of the m/beta_j with |m| <= 10^6 nearest to gamma, or
+    (None, None).  Candidates: m0 - 1, m0, m0 + 1, m0 = round(gamma * beta_j),
+    over the nonzero beta_j in order; a tie goes to the first."""
+    b = betas[betas != 0.0, None]
+    m = np.round(gamma * b) + np.array([-1.0, 0.0, 1.0])
+    vals = (m / b)[np.abs(m) <= _MAX_INDICIAL_M]
+    if not len(vals):
+        return None, None
+    i = np.argmin(np.abs(gamma - vals))
+    return float(vals[i]), float(abs(gamma - vals[i]))
 
 
 @dataclass(frozen=True)
@@ -185,18 +181,10 @@ def weight_admissible(spec: WeightSpec, div: Divisor) -> WeightReport:
     """Check gamma_i > 0 and gamma_i away from every indicial value m/beta_j."""
     if len(spec.gamma) != len(div):
         raise ShapeError(f"{len(spec.gamma)} weights for {len(div)} cone points")
-    betas = div.betas
-    nearest = []
-    positivity = []
-    ok = True
-    for g in spec.gamma:
-        pos_ok = g > 0.0
-        positivity.append(pos_ok)
-        val, dist = _nearest_indicial(g, betas)
-        nearest.append((val, None if val is None else dist))  # JSON has no inf
-        if not pos_ok or dist <= _INDICIAL_TOL:
-            ok = False
-    return WeightReport(passed=ok, nearest_forbidden=tuple(nearest), positivity=tuple(positivity))
+    nearest = tuple(_nearest_indicial(g, div.betas) for g in spec.gamma)
+    positivity = tuple(g > 0.0 for g in spec.gamma)
+    passed = all(positivity) and all(d is None or d > _INDICIAL_TOL for _, d in nearest)
+    return WeightReport(passed=passed, nearest_forbidden=nearest, positivity=positivity)
 
 
 @dataclass(frozen=True)
@@ -218,22 +206,18 @@ def solver_scope_check(div: Divisor) -> ScopeReport:
     betas = div.betas
     n_ok = len(div) >= 3
     range_ok = bool(len(div)) and bool(np.all((betas > -1.0) & (betas < 0.0)))
-    if n_ok:
-        troy = troyanov_check(div)
-        troy_ok, margins = troy.passed, troy.margins
-    else:
-        troy_ok, margins = False, ()
+    troy = troyanov_check(div) if n_ok else TroyanovReport(passed=False, margins=())
     chi = euler_characteristic(div)
     distinct = len(set(np.round(betas, 14))) >= 3
     return ScopeReport(
         n_at_least_3=n_ok,
         betas_in_range=range_ok,
-        troyanov=troy_ok,
-        troyanov_margins=margins,
+        troyanov=troy.passed,
+        troyanov_margins=troy.margins,
         chi_positive=chi > 0.0,
         chi=chi,
         distinct_triple=distinct,
-        passed=n_ok and range_ok and troy_ok and chi > 0.0 and distinct,
+        passed=n_ok and range_ok and troy.passed and chi > 0.0 and distinct,
     )
 
 

@@ -127,18 +127,6 @@ def self_adjointness_defect(bg: ConicalBackground, f, g) -> float:
     return abs(float(np.sum(f * (neg_L @ g) * w)) - float(np.sum((neg_L @ f) * g * w)))
 
 
-def _product_field(bg: ConicalBackground, K):
-    """The data term G = rho^{2 beta} K, extended to cone vertices.
-
-    At a cone vertex the pointwise product is 0 * inf with a finite limit,
-    estimated by averaging the product over the 1-ring.  For targets of
-    background type (K = rho^{-2 beta} * smooth) the product is that smooth
-    factor; rho^{2 beta} k_beta = chi / 2 at every node, so the extension is
-    exact for the identity target on any mesh, and for the manufactured
-    target wherever its factor vanishes on the ring."""
-    return bg.mesh._fill_cones(bg.rho_pow_2beta * K)
-
-
 def _residual(bg: ConicalBackground, u, G):
     lap_u = bg.mesh.laplace(u)
     F = np.exp(-2.0 * u) * (bg.m - lap_u) - G
@@ -166,18 +154,16 @@ def _check_target(bg: ConicalBackground, K_target) -> np.ndarray:
     return K
 
 
-@dataclass
+@dataclass(frozen=True)
 class _OrderedLU:
     """SuperLU factors of A[order][:, order] in A's precision; `solve` solves with
-    A itself in that precision, returns float64, and counts itself in `solves`."""
+    A itself in that precision and returns float64."""
 
     lu: spla.SuperLU
     order: np.ndarray
     dtype: np.dtype
-    solves: int = 0
 
     def solve(self, b, trans="N"):
-        self.solves += 1
         y = self.lu.solve(b[self.order].astype(self.dtype, copy=False), trans)
         x = np.empty(y.shape)
         x[self.order] = y
@@ -197,21 +183,22 @@ def _factor(A: sp.csc_matrix, order: np.ndarray) -> _OrderedLU:
 
 
 def _refined_solve(lu: _OrderedLU, J, F, rel_tol=10 * _LINEAR_TOL):
-    """(d, sup|J d + F|): the Newton correction d with J d = -F and its linear
-    residual.  d is solved with the LU in its own precision (float32 for Newton's
-    row-scaled J), then refined, d -= LU^-1 (J d + F) with J and F in float64,
-    until sup|J d + F| is at most rel_tol * sup|F|, stops falling, or after
-    _REFINEMENT_STEPS; a step that raised it is taken back.  A fresh LU's
-    correction (the default) goes to the float64 floor.  A chord correction's
-    direction is already off Newton's by the Jacobian's drift; at _CHORD_RATE**2
-    its linear residual costs at most a tenth of the cut the chord test asks for."""
+    """(d, sup|J d + F|, steps): the Newton correction d with J d = -F, its linear
+    residual, and the triangular solves made after the first.  d is solved with
+    the LU in its own precision (float32 for Newton's row-scaled J), then
+    refined, d -= LU^-1 (J d + F) with J and F in float64, until sup|J d + F| is
+    at most rel_tol * sup|F|, stops falling, or after _REFINEMENT_STEPS; a step
+    that raised it is taken back.  A fresh LU's correction (the default) goes to
+    the float64 floor.  A chord correction's direction is already off Newton's
+    by the Jacobian's drift; at _CHORD_RATE**2 its linear residual costs at most
+    a tenth of the cut the chord test asks for."""
     d = lu.solve(-F)
     tol, last = rel_tol * float(np.max(np.abs(F))), np.inf
     for steps in range(_REFINEMENT_STEPS + 1):
         r = J @ d + F
         sup = np.max(np.abs(r))
         if not tol < sup < last or steps == _REFINEMENT_STEPS:  # a NaN stops too
-            return (d, sup) if sup < last or not steps else (kept, last)
+            return (d, sup, steps) if sup < last or not steps else (kept, last, steps)
         last, kept = sup, d
         d = d - lu.solve(r)
 
@@ -231,7 +218,12 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
     factorizations."""
     K = _check_target(bg, K_target)
     u = bg.mesh._check(u0, "u0").copy()
-    G = _product_field(bg, K)
+    # the data term G = rho^{2 beta} K; at a cone vertex, where it is 0 * inf with a
+    # finite limit, the 1-ring mean.  For targets of background type (K = rho^{-2 beta}
+    # * smooth) G is that smooth factor; rho^{2 beta} k_beta = chi / 2 at every node,
+    # so the cone value is exact for the identity target on any mesh, and for the
+    # manufactured target wherever its factor vanishes on the ring
+    G = bg.mesh._fill_cones(bg.rho_pow_2beta * K)
 
     a = bg.mesh.areas / np.mean(bg.mesh.areas)
     F, lap_u = _residual(bg, u, G)
@@ -248,10 +240,9 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
                 )
             J = _jacobian(bg, u, lap_u)
             lu = _factor(J.astype(np.float32), bg.mesh.ordering())
-        aF = a * F
-        solves = lu.solves
-        d, lin_sup = _refined_solve(lu, J, aF, 10 * _LINEAR_TOL if fresh else _CHORD_RATE**2)
-        refinements += lu.solves - solves - 1
+        rel_tol = 10 * _LINEAR_TOL if fresh else _CHORD_RATE**2
+        d, lin_sup, steps = _refined_solve(lu, J, a * F, rel_tol)
+        refinements += steps
         if not fresh:
             trial = u + d
             F_t, lap_t = _residual(bg, trial, G)

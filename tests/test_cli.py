@@ -604,5 +604,16 @@ def test_unusable_out_exits_2(tmp_path, monkeypatch, under):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command, blocked", [("symmetries", "symmetries.json"),
+                                              ("solve", "u.csv"), ("solve", "mesh.off")])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, blocked):
+    # a directory where the report, a field dump or the mesh goes ended in
+    # an IsADirectoryError traceback
+    (tmp_path / blocked).mkdir()
+    path = write_config(tmp_path, flagship_config(outputs={"fields": True, "mesh_off": True}))
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "cannot write output:" in capsys.readouterr().err
+
+
 def test_example_unknown_name(tmp_path):
     assert main(["example", "--name", "torus", "--out", str(tmp_path)]) == 2

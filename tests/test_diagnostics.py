@@ -44,6 +44,14 @@ def test_spectrum_count_guards(round_bg4):
         spectrum(round_bg4, round_bg4.n_vertices)
 
 
+def test_spectrum_count_must_be_an_integer(round_bg4):
+    # 2.5 raised SystemError from ARPACK's dsaupd wrapper, True a TypeError
+    for count in (2.5, 3.0, True, "3"):
+        with pytest.raises(DomainError, match="integer"):
+            spectrum(round_bg4, count)
+    assert len(spectrum(round_bg4, np.int64(3)).eigenvalues) == 3
+
+
 def test_spectrum_weighted_vs_plain_differ(flagship_bg_small):
     w = spectrum(flagship_bg_small, 3)
     p = spectrum(flagship_bg_small, 3, np.ones(flagship_bg_small.n_vertices))

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conesphere.divisor import (
     ConePoint,
@@ -18,6 +19,7 @@ from conesphere.divisor import (
     solver_scope_check,
     troyanov_check,
     weight_admissible,
+    _nearest_indicial,
 )
 from conesphere.errors import DomainError, ScopeError, ShapeError
 
@@ -96,6 +98,33 @@ def test_weight_admissible_truth_table():
     assert not rep.passed and rep.positivity[0] is False
 
 
+def nearest_indicial_scan(gamma, betas):
+    """The running-minimum scan that _nearest_indicial replaced, its reference."""
+    best_val, best_dist = None, None
+    for b in betas:
+        if b == 0.0:
+            continue
+        m0 = round(gamma * b)
+        for m in (m0 - 1, m0, m0 + 1):
+            if abs(m) <= 10**6 and (best_dist is None or abs(gamma - m / b) < best_dist):
+                best_val, best_dist = float(m / b), float(abs(gamma - m / b))
+    return best_val, best_dist
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gamma=st.one_of(st.integers(-40, 40).map(lambda i: i / 4), st.floats(-1e8, 1e8)),
+       betas=st.lists(st.one_of(st.sampled_from([0.0, -0.0, -0.25, -0.5, -0.75]),
+                                st.floats(-1.0, 0.0, exclude_min=True)), max_size=4))
+@example(gamma=1.0, betas=[-0.5])  # a tie: 2 and -0 are both 1 away
+@example(gamma=3e6, betas=[-0.3])  # no m within 10^6: (None, None)
+def test_nearest_indicial_matches_the_scan(gamma, betas):
+    # the same value, distance, sign of zero and tie order; a subnormal beta
+    # overflows m / beta to inf in both
+    with np.errstate(over="ignore"):
+        betas = np.array(betas)
+        assert repr(_nearest_indicial(gamma, betas)) == repr(nearest_indicial_scan(gamma, betas))
+
+
 def test_weight_admissible_shape_mismatch():
     d = equatorial_divisor([-0.5, -0.5, -0.5])
     with pytest.raises(ShapeError):
@@ -115,6 +144,13 @@ def test_weight_spec_order_must_be_an_integer(k):
     with pytest.raises(DomainError):
         WeightSpec(gamma=(0.5,), order_k=k)
     assert WeightSpec(gamma=(0.5,), order_k=np.int64(2)).order_k == 2
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_weight_spec_rejects_a_non_finite_gamma(gamma):
+    # weight_admissible raised ValueError on NaN and OverflowError on inf
+    with pytest.raises(DomainError, match="finite"):
+        weight_admissible(WeightSpec(gamma=(gamma, 0.5, 0.5)), flagship_divisor())
 
 
 def test_solver_scope_truth_table():

@@ -1,4 +1,5 @@
-"""The solver against the exact three-cone metric of curvature 1."""
+"""The solver against the exact three-cone metric of curvature 1, and against
+its pullbacks along z -> z^k, exact metrics with k + 2 cones."""
 
 import itertools
 
@@ -14,6 +15,7 @@ from conesphere.background import (
 )
 from conesphere.divisor import divisor, equatorial_divisor, flagship_divisor, solver_scope_check
 from conesphere.mesh import build_mesh
+from conesphere.moebius import _project_hom
 from conesphere.solver import SolverConfig, continuation_solve
 
 
@@ -64,6 +66,56 @@ def test_divisors_without_disjoint_cone_balls_solve(betas):
                     for base, grading in ((3, 2), (4, 3)))
     # measured: 1.36e-2 and 5.16e-3, 5.40e-2 and 3.72e-2
     assert fine < coarse < 0.06
+
+
+def pulled_back_factor(z, k, betas, lib=np):
+    """Log factor against the round metric, at chart points z (those of
+    _project_hom, the south pole at 0), of the pullback along w = z^k of the
+    curvature-1 metric with cone exponents betas at w = 0, 1, inf.  Its cones:
+    k (1 + betas[0]) - 1 at the south pole, k (1 + betas[2]) - 1 at the north
+    pole, and betas[1] at each k-th root of unity on the equator."""
+    r = abs(z)
+    return (_three_cone_log_factor(z**k, betas, lib=None if lib is np else lib)
+            + lib.log(k) + (k - 1) * lib.log(r) + lib.log(1 + r**2) - lib.log(1 + r ** (2 * k)))
+
+
+def pullback_error(k, betas, base, grading):
+    """Sup over the non-cone nodes of the K = 1 solve's error against the
+    pulled-back metric, on a base / grading mesh of its k + 2 cones."""
+    b0, b1, b_inf = betas
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    positions = [[0, 0, -1], [0, 0, 1], *([r.real, r.imag, 0] for r in roots)]
+    div = divisor(positions, [k * (1 + b0) - 1, k * (1 + b_inf) - 1] + [b1] * k)
+    bg = build_background(div, build_mesh(base, div, grading=grading))
+    u, rep = continuation_solve(bg, np.ones(bg.n_vertices), SolverConfig(newton_tol=1e-9))
+    assert rep.converged
+    z, w = _project_hom(bg.mesh.vertices[bg.free])
+    exact = pulled_back_factor(z / w, k, np.array(betas))
+    return float(np.max(np.abs(u[bg.free] - exact - 0.5 * np.log(bg.rho_pow_neg2beta[bg.free]))))
+
+
+# |z| below, near and above 1
+@pytest.mark.parametrize("z", [0.3 + 0.2j, 0.999 + 0.02j, -0.5 + 0.86j, 1.7 - 0.4j, -40.0 + 3.0j])
+@pytest.mark.parametrize("k, betas", [(2, ("-0.6", "-0.3", "-0.7")),
+                                      (3, ("-0.7", "-0.3", "-0.75"))])
+def test_pulled_back_factor_matches_mpmath(z, k, betas):
+    with mpmath.workdps(30):
+        exact = float(pulled_back_factor(mpmath.mpc(z), k, [mpmath.mpf(b) for b in betas],
+                                         lib=mpmath))
+    value = pulled_back_factor(np.array([z]), k, np.array([float(b) for b in betas]))
+    assert value[0] == pytest.approx(exact, abs=1e-13)
+
+
+@pytest.mark.parametrize("k, betas, measured", [
+    (2, (-0.6, -0.3, -0.7), (7.84e-3, 2.10e-3)),
+    (3, (-0.7, -0.3, -0.75), (2.12e-3, 5.35e-4)),  # five cones
+], ids=["four-cone", "five-cone"])
+def test_pulled_back_metrics_are_the_unit_curvature_solutions(k, betas, measured):
+    # Luo-Tian (Proc. AMS 116, 1992): the metric is unique, so the solve
+    # must converge to it from the background start
+    coarse, fine = pullback_error(k, betas, 3, 2), pullback_error(k, betas, 4, 3)
+    assert coarse <= 1.5 * measured[0] and fine <= 1.5 * measured[1]
+    assert fine <= coarse / 3
 
 
 UNIT_VECTORS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(

@@ -62,6 +62,24 @@ def test_manufactured_solution(flagship_bg_small):
     assert np.max(np.abs(u[bg.cone_vertices])) <= 1e-8
 
 
+def _data_term(bg, K):
+    """Newton's G = rho^{2 beta} K, the 1-ring mean at the cone vertices."""
+    return bg.mesh._fill_cones(bg.rho_pow_2beta * K)
+
+
+def _count_solves(monkeypatch):
+    """Wrap solver._OrderedLU.solve; the returned list gets a weak reference
+    to the LU of each solve."""
+    solved, solve = [], solver._OrderedLU.solve
+
+    def counting(lu, b, trans="N"):
+        solved.append(weakref.ref(lu))
+        return solve(lu, b, trans)
+
+    monkeypatch.setattr(solver._OrderedLU, "solve", counting)
+    return solved
+
+
 def _count_factorizations(monkeypatch):
     """Wrap solver._factor; the returned list holds a weak reference to each
     LU made, and every call first checks that no earlier LU is alive."""
@@ -175,12 +193,12 @@ def test_float32_factor_refines_to_the_float64_solve(name, request):
     # grading 3 and to 4e-14 at base 5 / grading 4
     bg = request.getfixturevalue(name)
     u = pinned_test_factor(bg, north=0.5, south=0.2)
-    F, lap_u = _residual(bg, u, solver._product_field(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
+    F, lap_u = _residual(bg, u, _data_term(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
     F *= bg.mesh.areas / np.mean(bg.mesh.areas)
     J = _jacobian(bg, u, lap_u)
     lu32 = solver._factor(J.astype(np.float32), bg.mesh.ordering())
     assert lu32.lu.solve(np.zeros(J.shape[0], np.float32)).dtype == np.float32
-    d, _ = solver._refined_solve(lu32, J, F)
+    d, _, _ = solver._refined_solve(lu32, J, F)
     ref = solver._factor(J, bg.mesh.ordering()).solve(-F)
     assert d.dtype == np.float64
     assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -199,15 +217,15 @@ def test_diverging_refinement_returns_the_better_iterate(flagship_bg_small, monk
         monkeypatch.setattr(solver, "_REFINEMENT_STEPS", steps)
     bg = flagship_bg_small
     u = pinned_test_factor(bg, north=0.5, south=0.2)
-    F, lap_u = _residual(bg, u, solver._product_field(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
+    F, lap_u = _residual(bg, u, _data_term(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
     F *= bg.mesh.areas / np.mean(bg.mesh.areas)
     J = _jacobian(bg, u, lap_u)
     shifted = (J + scipy.sparse.identity(J.shape[0])).tocsc().astype(np.float32)
     lu = solver._factor(shifted, bg.mesh.ordering())
     first = np.max(np.abs(J @ lu.solve(-F) + F))
-    solves = lu.solves
-    d, _ = solver._refined_solve(lu, J, F)
-    assert lu.solves - solves == 2
+    solved = _count_solves(monkeypatch)
+    d, _, steps = solver._refined_solve(lu, J, F)
+    assert len(solved) == 2 and steps == 1
     assert np.max(np.abs(J @ d + F)) <= first
 
 
@@ -218,11 +236,11 @@ def test_refined_solve_returns_the_residual_of_its_correction(flagship_bg_small,
     # (the LU of J + I) is taken back
     bg = flagship_bg_small
     u = pinned_test_factor(bg, north=0.5, south=0.2)
-    F, lap_u = _residual(bg, u, solver._product_field(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
+    F, lap_u = _residual(bg, u, _data_term(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
     F *= bg.mesh.areas / np.mean(bg.mesh.areas)
     J = _jacobian(bg, u, lap_u)
     shifted = (J + shift * scipy.sparse.identity(J.shape[0])).tocsc().astype(np.float32)
-    d, sup = solver._refined_solve(solver._factor(shifted, bg.mesh.ordering()), J, F)
+    d, sup, _ = solver._refined_solve(solver._factor(shifted, bg.mesh.ordering()), J, F)
     assert sup == np.max(np.abs(J @ d + F))
 
 
@@ -306,9 +324,9 @@ def test_failed_chord_step_refactors_at_same_u(flagship_bg_small, monkeypatch):
 
     def spy_solve(lu, J, F, *rest):
         solves.append((len(made), len(residual_at)))
-        d, sup = refined(lu, J, F, *rest)
+        d, sup, steps = refined(lu, J, F, *rest)
         # halve the first chord step: it then cuts the residual only twofold
-        return (0.5 * d, sup) if len(solves) == 2 else (d, sup)
+        return (0.5 * d if len(solves) == 2 else d), sup, steps
 
     monkeypatch.setattr(solver, "_residual", spy_residual)
     monkeypatch.setattr(solver, "_jacobian", spy_jacobian)
@@ -325,15 +343,16 @@ def test_failed_chord_step_refactors_at_same_u(flagship_bg_small, monkeypatch):
 
 def _record_corrections(monkeypatch):
     """Wrap solver._refined_solve; the returned list gets, per correction,
-    whether its LU was fresh, the triangular solves it made, and its
-    sup|J d + F| / sup|F|."""
-    log, refined = [], solver._refined_solve
+    whether its LU was fresh (had not solved before), the triangular solves
+    it made, counted by _count_solves, and its sup|J d + F| / sup|F|."""
+    log, refined, solved = [], solver._refined_solve, _count_solves(monkeypatch)
 
     def spy(lu, J, F, *rest):
-        fresh, solves = lu.solves == 0, lu.solves
-        d, sup = refined(lu, J, F, *rest)
-        log.append((fresh, lu.solves - solves, np.max(np.abs(J @ d + F)) / np.max(np.abs(F))))
-        return d, sup
+        fresh, before = not any(ref() is lu for ref in solved), len(solved)
+        d, sup, steps = refined(lu, J, F, *rest)
+        assert steps == len(solved) - before - 1  # the solves after the first
+        log.append((fresh, len(solved) - before, np.max(np.abs(J @ d + F)) / np.max(np.abs(F))))
+        return d, sup, steps
 
     monkeypatch.setattr(solver, "_refined_solve", spy)
     return log
@@ -429,7 +448,7 @@ def test_singular_factorization(flagship_bg_small, monkeypatch):
 def test_ordered_factorization_matches_plain_lu(flagship_bg_small):
     bg = flagship_bg_small
     u = pinned_test_factor(bg, north=0.5, south=0.2)
-    F, lap_u = _residual(bg, u, solver._product_field(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
+    F, lap_u = _residual(bg, u, _data_term(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0]))
     J = _jacobian(bg, u, lap_u)
     lu = solver._factor(J, bg.mesh.ordering())
     plain = scipy.sparse.linalg.splu(J)
@@ -496,7 +515,7 @@ def test_report_residuals_match_their_definitions(flagship_bg_small):
     bg = flagship_bg_small
     K = 1.0 + 0.2 * bg.mesh.vertices[:, 0]
     u, rep = newton_solve(bg, K, np.zeros(bg.n_vertices), SolverConfig(newton_tol=1e-9))
-    F, _ = _residual(bg, u, solver._product_field(bg, K))
+    F, _ = _residual(bg, u, _data_term(bg, K))
     A = bg.mesh.areas
     assert rep.final_residual_sup == float(np.max(np.abs(A / np.mean(A) * F)))
     assert rep.final_residual_pointwise == float(np.max(np.abs(F)))
