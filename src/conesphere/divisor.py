@@ -146,17 +146,20 @@ class WeightSpec:
             raise DomainError(f"weights gamma must be finite, got {self.gamma}")
         if not (0.0 < self.holder_alpha < 1.0):
             raise DomainError(f"holder_alpha must lie in (0,1), got {self.holder_alpha}")
-        if not (isinstance(self.order_k, (int, np.integer)) and self.order_k >= 0):
-            raise DomainError(f"order_k must be a nonnegative integer, got {self.order_k!r}")
+        k = self.order_k
+        if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and k >= 0):
+            raise DomainError(f"order_k must be a nonnegative integer, got {k!r}")
 
 
+@np.errstate(over="ignore")  # a subnormal beta_j overflows m/beta_j to inf
 def _nearest_indicial(gamma: float, betas: np.ndarray):
-    """(value, distance) of the m/beta_j with |m| <= 10^6 nearest to gamma, or
-    (None, None).  Candidates: m0 - 1, m0, m0 + 1, m0 = round(gamma * beta_j),
-    over the nonzero beta_j in order; a tie goes to the first."""
+    """(value, distance) of the finite m/beta_j with |m| <= 10^6 nearest to
+    gamma, or (None, None).  Candidates: m0 - 1, m0, m0 + 1, m0 = round(gamma
+    * beta_j), over the nonzero beta_j in order; a tie goes to the first."""
     b = betas[betas != 0.0, None]
     m = np.round(gamma * b) + np.array([-1.0, 0.0, 1.0])
-    vals = (m / b)[np.abs(m) <= _MAX_INDICIAL_M]
+    vals = m / b
+    vals = vals[(np.abs(m) <= _MAX_INDICIAL_M) & np.isfinite(vals)]
     if not len(vals):
         return None, None
     i = np.argmin(np.abs(gamma - vals))

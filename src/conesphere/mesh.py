@@ -414,46 +414,45 @@ _DISSECTION_LEAF = 64  # parts this small are not split further
 def _dissection_order(points, i, j):
     """Geometric nested-dissection order of the graph on `points` whose
     undirected edges are the pairs (i[k], j[k]) (George, SIAM J. Numer.
-    Anal. 10, 1973).
-
-    A part is split at the median of its widest coordinate (stable sort);
-    its separator is the low-side nodes with a high-side neighbour.  The
-    part is ordered [low minus separator, high, separator], the two halves
-    dissected in turn, down to parts of _DISSECTION_LEAF nodes."""
+    Anal. 10, 1973), by ratio cuts (Miller et al., J. ACM 44, 1997): a part
+    of m nodes, sorted stably along its widest coordinate, is cut after its
+    first k nodes, k in [m // 5, m - m // 5] minimising |separator| /
+    (k (m - k)), the first on ties.  The separator is the low nodes with a
+    high neighbour; the part is ordered [low minus separator, high,
+    separator], each side dissected on its internal edges, down to parts of
+    _DISSECTION_LEAF nodes."""
     coords = np.ascontiguousarray(points.T)  # rows reduce and gather fast
     # Equal coordinates share a rank, so sorting the distinct keys
     # rank * k + position of a part of k nodes sorts it stably by coordinate,
     # with numpy's fast unstable sort.
     rank = np.stack([np.unique(c, return_inverse=True)[1] for c in coords])
-    high = np.zeros(len(points), dtype=bool)
-    sep = np.zeros(len(points), dtype=bool)
-    out = []
-
-    def dissect(part, i, j):
-        if len(part) <= _DISSECTION_LEAF:
+    pos = np.empty(len(points), dtype=np.intp)
+    # parts left to order, next one last, with their internal edges (None: a separator)
+    out, todo = [], [(np.arange(len(points)), i, j)]
+    while todo:
+        part, i, j = todo.pop()
+        m = len(part)
+        if i is None or m <= _DISSECTION_LEAF:
             out.append(part)
-            return
+            continue
         x = coords.take(part, axis=1)
         axis = int(np.argmax(x.max(axis=1) - x.min(axis=1)))
-        part = part[np.argsort(rank[axis].take(part) * len(part) + np.arange(len(part)))]
-        low, hi = part[: len(part) // 2], part[len(part) // 2 :]
-        high[hi] = True
-        hi_i, hi_j = high[i], high[j]
-        high[hi] = False
-        cut = hi_i != hi_j
-        sep[np.where(hi_i[cut], j[cut], i[cut])] = True
-        in_sep = sep[low]
-        # The low half keeps its edges to the separator, so an edge list can
-        # reach nodes of earlier separators.  Marking one of them in `sep`
-        # again is harmless: it lies in no later part, so no mark is ever
-        # read for it, and no mark needs clearing.
-        low_side = ~(hi_i | hi_j)
-        high_side = hi_i & hi_j
-        dissect(low[~in_sep], i[low_side], j[low_side])
-        dissect(hi, i[high_side], j[high_side])
-        out.append(low[in_sep])
-
-    dissect(np.arange(len(points)), i, j)
+        part = part[np.argsort(rank[axis].take(part) * m + np.arange(m))]
+        pos[part] = np.arange(m)
+        a, b = pos.take(i), pos.take(j)
+        # reach[p]: the last position of p or a neighbour.  Cut after k, p < k
+        # is a separator node iff reach[p] >= k: k - #{p : reach[p] < k} of them.
+        reach = np.arange(m)
+        np.maximum.at(reach, a, b)
+        np.maximum.at(reach, b, a)
+        ks = np.arange(m // 5, m - m // 5 + 1)
+        size = ks - np.cumsum(np.bincount(reach, minlength=m))[ks - 1]
+        k = int(ks[np.argmin(size / (ks * (m - ks)))])
+        rest = reach < k  # low minus separator
+        high, low = (a >= k) & (b >= k), rest.take(a) & rest.take(b)
+        del a, b, reach  # freed before the children's edges are copied
+        todo += [(part[:k][~rest[:k]], None, None), (part[k:], i[high], j[high]),
+                 (part[rest], i[low], j[low])]
     return np.concatenate(out)
 
 
@@ -563,10 +562,7 @@ def build_mesh(
 def _build_mesh(base_level, grading, grading_radius, positions_bytes):
     positions = np.frombuffer(positions_bytes).reshape(-1, 3)
     verts, faces = icosphere(base_level)
-    if len(positions):
-        verts, cone_ids = _snap_cones(verts, faces, positions)
-    else:
-        cone_ids = []
+    verts, cone_ids = _snap_cones(verts, faces, positions) if len(positions) else (verts, [])
 
     if grading > 0 and len(positions):
         verts, faces = _grade_mesh(verts, faces, positions, grading, grading_radius)

@@ -119,10 +119,18 @@ def nearest_indicial_scan(gamma, betas):
 @example(gamma=3e6, betas=[-0.3])  # no m within 10^6: (None, None)
 def test_nearest_indicial_matches_the_scan(gamma, betas):
     # the same value, distance, sign of zero and tie order; a subnormal beta
-    # overflows m / beta to inf in both
+    # overflows m / beta to inf in the scan, which never picks it
     with np.errstate(over="ignore"):
         betas = np.array(betas)
         assert repr(_nearest_indicial(gamma, betas)) == repr(nearest_indicial_scan(gamma, betas))
+
+
+def test_weight_admissible_at_a_subnormal_beta():
+    # m / beta overflows for m = +-1; under the suite's filter the warning was
+    # an error.  Only m = 0 leaves a finite indicial value.
+    d = Divisor((ConePoint(np.array([0.0, 0.0, 1.0]), -5e-324),))
+    rep = weight_admissible(WeightSpec(gamma=(0.5,)), d)
+    assert rep.passed and rep.nearest_forbidden == ((0.0, 0.5),)
 
 
 def test_weight_admissible_shape_mismatch():
@@ -138,9 +146,9 @@ def test_weight_spec_validation():
         WeightSpec(gamma=(0.5,), order_k=-1)
 
 
-@pytest.mark.parametrize("k", [1.5, math.nan, 2.0], ids=["fraction", "nan", "float"])
+@pytest.mark.parametrize("k", [1.5, math.nan, 2.0, True], ids=["fraction", "nan", "float", "bool"])
 def test_weight_spec_order_must_be_an_integer(k):
-    # NaN and 1.5 passed the old `order_k < 0` test
+    # NaN and 1.5 passed the old `order_k < 0` test, True the int check
     with pytest.raises(DomainError):
         WeightSpec(gamma=(0.5,), order_k=k)
     assert WeightSpec(gamma=(0.5,), order_k=np.int64(2)).order_k == 2

@@ -3,6 +3,7 @@
 import math
 from array import array
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -475,14 +476,28 @@ def test_the_least_recently_used_mesh_is_dropped():
 
 
 def reference_dissection(points, nbrs, part):
-    """Nested dissection as specified, on adjacency sets: split at the median
-    of the widest coordinate (stable sort), separator = low nodes with a high
-    neighbour, order [low minus separator, high, separator], leaves of 64."""
-    if len(part) <= 64:
+    """Nested dissection as specified, on adjacency sets: sort along the widest
+    coordinate (stable), split after the first k nodes, k in [m // 5, m - m // 5]
+    minimising |separator| / (k (m - k)), the first such k on ties; separator =
+    low nodes with a high neighbour; order [low minus separator, high,
+    separator]; leaves of 64."""
+    m = len(part)
+    if m <= 64:
         return list(part)
     x = points[part]
     part = part[np.argsort(x[:, np.argmax(np.ptp(x, axis=0))], kind="stable")]
-    low, high = part[: len(part) // 2], part[len(part) // 2 :]
+    at = {v: p for p, v in enumerate(part.tolist())}
+    # the node at position p is in the separator of each split after k with
+    # p < k <= its last neighbour's position: a difference array over k
+    delta = [0] * (m + 1)
+    for p, v in enumerate(part.tolist()):
+        last = max([at[w] for w in nbrs[v] if w in at], default=p)
+        if last > p:
+            delta[p + 1] += 1
+            delta[last + 1] -= 1
+    size = list(accumulate(delta))
+    k = min(range(m // 5, m - m // 5 + 1), key=lambda k: size[k] / (k * (m - k)))
+    low, high = part[:k], part[k:]
     high_set = set(high.tolist())
     sep = [v for v in low if nbrs[v] & high_set]
     rest = np.array([v for v in low if not nbrs[v] & high_set], dtype=int)
@@ -502,6 +517,14 @@ def test_ordering_is_the_cached_nested_dissection():
     mesh_module._build_mesh.cache_clear()
     again = build_mesh(3, div, grading=2)
     assert again is not mesh and np.array_equal(again.ordering(), order)
+
+
+def test_ordering_takes_the_first_of_tied_cuts():
+    # the icosphere's symmetry gives cuts of equal score, in one split of 12
+    mesh = build_mesh(3)
+    nbrs = reference_adjacency(mesh.n_vertices, mesh.faces)
+    expected = reference_dissection(mesh.vertices, nbrs, np.arange(mesh.n_vertices))
+    assert np.array_equal(mesh.ordering(), expected)
 
 
 def reference_adjacency(n_verts, faces):

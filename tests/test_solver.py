@@ -463,6 +463,15 @@ def test_ordered_factorization_fills_less_than_colamd(round_bg5):
     assert solver._factor(J, bg.mesh.ordering()).lu.nnz < scipy.sparse.linalg.splu(J).nnz
 
 
+def test_ordered_factorization_fills_less_than_colamd_when_graded(flagship_bg_small):
+    # graded meshes cluster nodes at the cones, where a median split cuts
+    # through the clusters (fill 1.04x COLAMD's here); the ratio cut does not
+    bg = flagship_bg_small
+    J = _jacobian(bg, np.zeros(bg.n_vertices), np.zeros(bg.n_vertices))
+    ordered = solver._factor(J, bg.mesh.ordering()).lu.nnz
+    assert ordered <= 0.85 * scipy.sparse.linalg.splu(J).nnz
+
+
 def test_kernel_gap_free_order_is_a_permutation(flagship_bg_small):
     bg = flagship_bg_small
     order = diagnostics._free_order(bg)
