@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -141,33 +140,139 @@ def mean_laplacian_zero(bg: ConicalBackground, f: np.ndarray) -> float:
     return float(np.sum(bg.mesh.laplace(f) * cancel * bg.mesh.areas))
 
 
-def _three_cone_log_factor(w, betas, lib=None):
+_EPS = 2e-17  # a series stops at its first power |z|^n below this
+_HEX = complex(0.5, math.sqrt(0.75))  # e^{i pi/3}: each variable below has modulus 1 there
+# for the charts v = w, 1 - w, 1/w: the indices of the exponents at v = 0, 1, inf,
+# and log |dv/dw| / log |v|
+_RELABELLINGS = ((0, 1, 2, 0), (1, 0, 2, 0), (2, 1, 0, 2))
+
+
+def _term_count(r):
+    """Terms of a power series at |z| = r: the first n with r^n < _EPS, at least 1."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(np.ceil(math.log(_EPS) / np.log(r)), 1).astype(np.intp)
+
+
+def _power_series(coefficients, z):
+    """sum_n c[:, n] z^n at each z of modulus below 1, c = coefficients(n)
+    for n the largest term count; each z takes only its own terms."""
+    n_terms = _term_count(np.abs(z))
+    order = np.argsort(-n_terms, kind="stable")
+    active = len(z) - np.cumsum(np.bincount(n_terms))  # active[n]: the z with more than n terms
+    c, z = coefficients(int(n_terms.max())), z[order]
+    power, total = np.ones_like(z), c[:, :1] * np.ones_like(z)
+    for n in range(1, c.shape[1]):
+        k = active[n]
+        power[:k] *= z[:k]
+        total[:, :k] += c[:, n, None] * power[:k]
+    out = np.empty_like(total)
+    out[:, order] = total
+    return out
+
+
+def _gauss_coefficients(params, n):
+    """(a)_k (b)_k / ((c)_k k!) for k < n, one row per (a, b, c) of params."""
+    k = np.arange(n - 1)
+    return np.array([np.concatenate(([1.0], np.cumprod((a + k) * (b + k) / ((c + k) * (k + 1)))))
+                     for a, b, c in params])
+
+
+def _ode_coefficients(a, b, c, z, y, dy, n):
+    """First n Taylor coefficients at z of the solution of the hypergeometric
+    equation z (1 - z) y'' + (c - (a + b + 1) z) y' - a b y = 0 with value y
+    and slope dy there."""
+    p0, p1, q0 = z * (1 - z), 1 - 2 * z, c - (a + b + 1) * z
+    out = [y, dy]
+    for k in range(n - 2):
+        out.append(-((p1 * k + q0) * (k + 1) * out[k + 1] - (k * (k + a + b) + a * b) * out[k])
+                   / (p0 * (k + 2) * (k + 1)))
+    return np.array(out[:n])
+
+
+def _value_and_slope(c, s):
+    """sum_n c_n s^n and its derivative in s."""
+    powers = s ** np.arange(len(c))
+    return c @ powers, (np.arange(1, len(c)) * c[1:]) @ powers[:-1]
+
+
+def _hex_coefficients(a, b, c, n):
+    """First n Taylor coefficients of F(a, b; c; .) at e^{i pi/3}, the value
+    and slope there continued by one Taylor step from 0.55 e^{i pi/3}."""
+    start, step = 0.55 * _HEX, 0.45 * _HEX
+    y, dy = _value_and_slope(_gauss_coefficients([(a, b, c)], int(_term_count(0.55)))[0], start)
+    n_step = int(_term_count(0.45 / 0.55))  # rounding adds solutions singular at 0
+    y, dy = _value_and_slope(_ode_coefficients(a, b, c, start, y, dy, n_step), step)
+    return _ode_coefficients(a, b, c, _HEX, y, dy, n)
+
+
+def _chart_variables(w):
+    """Rows 2k and 2k + 1: v and Pfaff's v / (v - 1), for v = w, 1 - w, 1/w
+    (the six anharmonic images of w); row 6: w or its conjugate, whichever
+    is in the upper half plane, minus e^{i pi/3}."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([w, w / (w - 1), 1 - w, (w - 1) / w, 1 / w, 1 / (1 - w),
+                         np.where(w.imag < 0, w.conjugate(), w) - _HEX])
+
+
+def _three_cone_log_factor(w, betas):
     """Log factor against the round metric, at chart points w, of the
     curvature-1 metric with cone exponents betas at w = 0, 1, inf (Eremenko,
     Proc. AMS 132, 2004), developed by y1 = w^{1-c} F(a-c+1, b-c+1; 2-c; w)
     and y2 = F(a, b; c; w).  a = -chi/2, and 1+a-c, c-b and b are half of
     Troyanov's margins, taken as troyanov_check takes them.  The monodromy
     keeps h |y1|^2 + |y2|^2, h = -A21 A22 / (A11 A12) from Kummer's connection
-    coefficients (DLMF 15.10.21-22); ValueError unless h > 0, the condition for
-    the metric to exist.  Only moduli enter, so no branch is chosen.  lib
-    supplies hyp2f1, gamma and log: mpmath's, or scipy's and numpy's."""
-    if lib is None:
-        import scipy.special  # here, not at import: only three-cone solves need it
+    coefficients (DLMF 15.10.21-22).  Only moduli enter, so no branch is chosen.
 
-        lib = SimpleNamespace(hyp2f1=scipy.special.hyp2f1, gamma=scipy.special.gamma, log=np.log)
-    b0, b1, b_inf = betas
-    total = b0 + b1 + b_inf
-    m0, m1, m_inf = 2 * b0 - total, 2 * b1 - total, 2 * b_inf - total
-    a, b, c = -(2 + total) / 2, m_inf / 2, -b0
-    g = lib.gamma
-    h = -(g(c) ** 2 * g(1 - a) * g(1 - b) * g(m0 / 2) * g(1 + b - c)
-          / (g(2 - c) ** 2 * g(a) * g(b) * g(1 - m0 / 2) * g(m1 / 2)))
-    if not h > 0:
-        raise ValueError(f"no spherical metric with cone exponents {tuple(betas)}: h = {h}")
-    y1 = abs(w) ** (1 - c) * abs(lib.hyp2f1(m0 / 2, b - c + 1, 2 - c, w))
-    y2 = abs(lib.hyp2f1(a, b, c, w))
-    log_wronskian = lib.log(1 + b0) - c * lib.log(abs(w)) + b1 * lib.log(abs(1 - w))
-    return lib.log(h) / 2 + log_wronskian + lib.log(1 + abs(w) ** 2) - lib.log(y2**2 + h * y1**2)
+    The metric is unique, so relabelling its cones moves it to the charts
+    v = 1 - w and v = 1/w, where the same formula holds with the exponents
+    relabelled, the margins kept, and log |dv/dw| + log(1 + |w|^2) -
+    log(1 + |v|^2) added.  Each chart sums both Gauss series at v, or at
+    v / (v - 1) by Pfaff's F(a, b; c; v) = (1 - v)^{-a} F(a, c-b; c; v / (v - 1)).
+    Each point takes whichever of these six variables, or its offset from
+    e^{+-i pi/3}, has the least modulus; at the offset both series of the
+    chart v = w are Taylor series of the hypergeometric equation, the
+    conjugate serving below the real axis.  ValueError unless h is finite
+    and positive in each chart: h > 0 is the condition for the metric to
+    exist, and each chart alone converges near its own cone at v = 0."""
+    w = np.asarray(w, dtype=complex)
+    betas = tuple(float(b) for b in betas)
+    total = betas[0] + betas[1] + betas[2]
+    margins = [2 * b - total for b in betas]
+    a, g = -(2 + total) / 2, math.gamma
+    charts = []
+    for i, j, l, jacobian in _RELABELLINGS:
+        b, c = margins[l] / 2, -betas[i]
+        try:
+            h = -(g(c) ** 2 * g(1 - a) * g(1 - b) * g(margins[i] / 2) * g(1 + b - c)
+                  / (g(2 - c) ** 2 * g(a) * g(b) * g(1 - margins[i] / 2) * g(margins[j] / 2)))
+        except (ValueError, ZeroDivisionError, OverflowError):  # a pole or overflow of gamma
+            h = math.nan
+        if not 0 < h < math.inf:
+            raise ValueError(f"no spherical metric with cone exponents {betas}: h = {h}")
+        params = ((a, b, c), (margins[i] / 2, b - c + 1, 2 - c))  # of y2's and y1's series
+        charts.append((h, betas[i], betas[j], jacobian, params))
+    variables = _chart_variables(w)
+    choice = np.argmin(np.abs(variables), axis=0)
+    log_factor = np.log(1 + np.abs(w) ** 2)
+    for row in np.unique(choice):
+        at = np.flatnonzero(choice == row)
+        chart = 0 if row == 6 else row // 2
+        h, e0, e1, jacobian, params = charts[chart]
+        v, z = variables[2 * chart, at], variables[row, at]
+        if row == 6:
+            series = _power_series(
+                lambda n: np.array([_hex_coefficients(*p, n) for p in params]), z)
+        elif row % 2:  # Pfaff's transformation, z = v / (v - 1)
+            pfaff = [(pa, pc - pb, pc) for pa, pb, pc in params]
+            series = _power_series(lambda n: _gauss_coefficients(pfaff, n), z)
+            series *= np.abs(1 - v) ** -np.array([[pa] for pa, _, _ in pfaff])
+        else:
+            series = _power_series(lambda n: _gauss_coefficients(params, n), z)
+        y2, y1 = np.abs(series) ** 2
+        r = np.abs(v)
+        log_factor[at] += (0.5 * math.log(h) + math.log(1 + e0) + (e0 + jacobian) * np.log(r)
+                           + e1 * np.log(np.abs(1 - v)) - np.log(y2 + h * r ** (2 + 2 * e0) * y1))
+    return log_factor
 
 
 def three_cone_factor(bg: ConicalBackground) -> np.ndarray:

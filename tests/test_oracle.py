@@ -1,6 +1,7 @@
 """The solver against the exact three-cone metric of curvature 1, and against
 its pullbacks along z -> z^k, exact metrics with k + 2 cones."""
 
+import functools
 import itertools
 
 import mpmath
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conesphere.background import (
+    _chart_variables,
     _three_cone_log_factor,
     build_background,
     three_cone_factor,
@@ -26,23 +28,108 @@ def oracle_error(bg):
     return float(np.max(np.abs(u[free] - three_cone_factor(bg)[free])))
 
 
-@pytest.mark.parametrize("w", [
+def oracle_log_factor(w, betas):
+    """_three_cone_log_factor by its closed form in the chart v = w, with
+    mpmath's hyp2f1 and gamma.  The margins are computed from the float
+    exponents as troyanov_check computes them, so a margin that the float sum
+    puts near 0 is the same small number on both sides."""
+    total = betas[0] + betas[1] + betas[2]
+    m0, m1, m_inf = (mpmath.mpf(2 * b - total) for b in betas)
+    b0, b1, total = mpmath.mpf(betas[0]), mpmath.mpf(betas[1]), mpmath.mpf(total)
+    a, b, c = -(2 + total) / 2, m_inf / 2, -b0
+    g = mpmath.gamma
+    h = -(g(c) ** 2 * g(1 - a) * g(1 - b) * g(m0 / 2) * g(1 + b - c)
+          / (g(2 - c) ** 2 * g(a) * g(b) * g(1 - m0 / 2) * g(m1 / 2)))
+    assert h > 0
+    y1 = abs(w) ** (1 - c) * abs(mpmath.hyp2f1(m0 / 2, b - c + 1, 2 - c, w))
+    y2 = abs(mpmath.hyp2f1(a, b, c, w))
+    log_wronskian = mpmath.log(1 + b0) - c * mpmath.log(abs(w)) + b1 * mpmath.log(abs(1 - w))
+    return (mpmath.log(h) / 2 + log_wronskian + mpmath.log(1 + abs(w) ** 2)
+            - mpmath.log(y2**2 + h * y1**2))
+
+
+def oracle_error_at(points, betas):
+    """Largest |kernel - oracle| over the points, and the point where it is."""
+    value = _three_cone_log_factor(np.array(points, dtype=complex), betas)
+    with mpmath.workdps(30):
+        exact = np.array([float(oracle_log_factor(mpmath.mpc(w), betas)) for w in points])
+    error = np.abs(value - exact)
+    return error.max(), points[int(error.argmax())]
+
+
+HEX = complex(0.5, 0.75 ** 0.5)  # e^{i pi/3}, where all six chart variables have modulus 1
+POINTS = [
     0.3 + 0.2j, -3.0 + 1.0j, 1e3 + 5.0j,
     0.9999 + 0.01j, 0.5 + 0.8660254j, 0.5 - 0.8660254j,  # |w| and |1 - w| near 1
     1.5, 2.0, 2.9,  # on the cut of F
-])
+    1e-8j, 1 - 1e-8, 1e8,  # next to each cone
+    HEX, HEX.conjugate(),
+    *(complex(np.round(c + 0.2 * np.exp(1j * t), 12))  # the Taylor patch
+      for c in (HEX, HEX.conjugate()) for t in np.arange(8) * np.pi / 4),
+]
+EXPONENTS = {
+    "flagship": (-0.3, -0.4, -0.5), "spread": (-0.6, -0.3, -0.7), "small": (-0.1, -0.25, -0.3),
+    "margin": (-0.99999, -0.37926601877988575, -0.6207239812201143),  # a margin of 2.2e-16
+}
+
+
+@pytest.mark.parametrize("w", POINTS)
 def test_log_factor_matches_mpmath(w):
-    with mpmath.workdps(30):
-        betas = [mpmath.mpf(s) for s in ("-0.3", "-0.4", "-0.5")]
-        exact = float(_three_cone_log_factor(mpmath.mpc(w), betas, lib=mpmath))
-    value = _three_cone_log_factor(np.array([complex(w)]), np.array([-0.3, -0.4, -0.5]))
-    assert value[0] == pytest.approx(exact, abs=1e-14)
+    error, _ = oracle_error_at([w], EXPONENTS["flagship"])
+    assert error <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["spread", "small", "margin"])
+def test_log_factor_matches_mpmath_at_other_exponents(name):
+    error, where = oracle_error_at(POINTS, EXPONENTS[name])
+    assert error <= 1e-14, where
+
+
+@functools.cache
+def switch_points():
+    """Two points across each switch between the kernel's series variables:
+    the ends of the bisected step along which the variable of least modulus
+    changes, for each pair of variables that meet in a grid over the plane."""
+    choice = lambda w: np.abs(_chart_variables(np.atleast_1d(w))).argmin(axis=0)
+    x, y = np.meshgrid(np.linspace(-3.0, 4.0, 141), np.linspace(-3.0, 3.0, 121))
+    grid = x + 1j * y
+    picked = {}
+    for lo, hi in [(grid[:, :-1], grid[:, 1:]), (grid[:-1], grid[1:])]:
+        lo, hi = lo.ravel(), hi.ravel()
+        for p, q in zip(lo[choice(lo) != choice(hi)], hi[choice(lo) != choice(hi)]):
+            if frozenset(np.concatenate([choice(p), choice(q)])) in picked:
+                continue
+            for _ in range(40):
+                mid = 0.5 * (p + q)
+                p, q = (mid, q) if choice(mid) == choice(p) else (p, mid)
+            picked.setdefault(frozenset(np.concatenate([choice(p), choice(q)])), (p, q))
+    return picked
+
+
+@pytest.mark.parametrize("name", EXPONENTS)
+def test_log_factor_matches_mpmath_across_every_switch(name):
+    switches = switch_points()
+    # every variable meets another: the six chart variables and the offset
+    assert set().union(*switches) == set(range(7)) and len(switches) == 12
+    error, where = oracle_error_at([w for pair in switches.values() for w in pair], EXPONENTS[name])
+    assert error <= 1e-14, where
 
 
 def test_angles_without_a_metric_are_rejected():
     # (-0.9, -0.1, -0.2) fails Troyanov's condition: h = -0.97
     with pytest.raises(ValueError, match="no spherical metric"):
         _three_cone_log_factor(np.array([0.5j]), np.array([-0.9, -0.1, -0.2]))
+
+
+@pytest.mark.parametrize("betas", [
+    (-0.3, -0.4, 0.0),  # h < 0 in the chart v = w, a pole of gamma in v = 1/w
+    (0.65, 1.0, -0.35),  # h = 2.37 in the chart v = w, a pole of gamma in v = 1 - w
+    (-0.3, -0.3, 0.0),  # a margin of 0: a pole of gamma in every chart
+])
+def test_a_pole_of_gamma_in_any_chart_is_the_documented_value_error(betas):
+    # math.gamma raises its own ValueError at a pole; it must not escape
+    with pytest.raises(ValueError, match="no spherical metric"):
+        _three_cone_log_factor(np.array([0.5j]), betas)
 
 
 def test_flagship_unit_curvature_converges_to_the_exact_metric(flagship_bg_g5):
@@ -75,7 +162,8 @@ def pulled_back_factor(z, k, betas, lib=np):
     k (1 + betas[0]) - 1 at the south pole, k (1 + betas[2]) - 1 at the north
     pole, and betas[1] at each k-th root of unity on the equator."""
     r = abs(z)
-    return (_three_cone_log_factor(z**k, betas, lib=None if lib is np else lib)
+    factor = _three_cone_log_factor if lib is np else oracle_log_factor
+    return (factor(z**k, betas)
             + lib.log(k) + (k - 1) * lib.log(r) + lib.log(1 + r**2) - lib.log(1 + r ** (2 * k)))
 
 
@@ -100,8 +188,7 @@ def pullback_error(k, betas, base, grading):
                                       (3, ("-0.7", "-0.3", "-0.75"))])
 def test_pulled_back_factor_matches_mpmath(z, k, betas):
     with mpmath.workdps(30):
-        exact = float(pulled_back_factor(mpmath.mpc(z), k, [mpmath.mpf(b) for b in betas],
-                                         lib=mpmath))
+        exact = float(pulled_back_factor(mpmath.mpc(z), k, [float(b) for b in betas], lib=mpmath))
     value = pulled_back_factor(np.array([z]), k, np.array([float(b) for b in betas]))
     assert value[0] == pytest.approx(exact, abs=1e-13)
 
