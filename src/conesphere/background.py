@@ -117,7 +117,9 @@ class GaussBonnetReport:
 
 
 def gauss_bonnet(bg: ConicalBackground, u: np.ndarray) -> GaussBonnetReport:
-    """Total curvature of e^{2u} g against the target 2*pi*(2 + sum beta_i)."""
+    """Total curvature of e^{2u} g against the target 2*pi*(2 + sum beta_i).  For
+    every u the integral is m (4 pi - sum_c A_c) - sum_c (W u)_c over the cone
+    vertices c, W the stiffness: the residual sees only the cone cells."""
     u = bg.mesh._check(u, "u")
     K = curvature_map(bg, u)
     integral = float(np.sum(K * np.exp(2.0 * u) * bg.rho_pow_2beta * bg.mesh.areas))

@@ -90,6 +90,8 @@ def _as_position(value, context):
     """A unit vector [x, y, z] or {"lat": deg, "lon": deg}."""
     if isinstance(value, dict):
         deg = _section(value, {"lat": _as_float, "lon": _as_float}, context)
+        if abs(deg["lat"]) > 90.0:
+            raise ConfigError(f"{context}.lat must lie in [-90, 90], got {deg['lat']}")
         lat, lon = math.radians(deg["lat"]), math.radians(deg["lon"])
         return np.array(
             [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]

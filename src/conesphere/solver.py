@@ -17,7 +17,7 @@ product rho^{2 beta} K is 0 * inf; its finite limit is estimated from the
 flux balance over the apex cell.  It matters: with the apex value pinned
 to zero and the apex row dropped, the discrete solution picks up a log-
 distance mode at each cone (an effective cone-angle shift) whose amplitude
-decays only like 1/log h, and the Gauss-Bonnet certificate of the computed
+decays only like 1/log h, and the Gauss-Bonnet residual of the computed
 metric is off by several percent no matter the mesh.  Enforcing the apex
 flux balance kills that mode.  For targets of background type (the
 identity and manufactured targets, whose data term is exact on the 1-ring)
@@ -207,15 +207,15 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
     """Damped Newton for the weighted curvature equation; returns (u, report).
 
     Residuals and the Jacobian's rows are area-weighted (module docstring); the
-    Jacobian is factored in float32 and each correction refined in float64.  A
-    fresh LU's correction is refined to 10 * _LINEAR_TOL and raises
-    SingularLinearization if it misses 1e3 * _LINEAR_TOL; else its step goes
-    through the residual line search.  After a full step that cut the residual
-    by _CHORD_RATE, the LU is kept for a chord step: a full step, refined only
-    to _CHORD_RATE**2, accepted only if it too cuts the residual by _CHORD_RATE;
-    else u stays and the Jacobian is factored afresh.  Newton stops once the
-    residual is at most cfg.newton_tol, after at most _MAX_FACTORIZATIONS
-    factorizations."""
+    Jacobian is factored in float32 and each correction d refined in float64.
+    Every step tries u + step * d against a goal.  A fresh LU's d is refined to
+    10 * _LINEAR_TOL (SingularLinearization if it misses 1e3 * _LINEAR_TOL) and
+    must cut the residual, halved up to _LINE_SEARCH_HALVINGS times (else
+    NewtonDivergence).  A full step that cut the residual by _CHORD_RATE keeps
+    its LU: the next, chord, d is refined to _CHORD_RATE**2 and has one full
+    trial, which must cut the residual by _CHORD_RATE, else u stays and J is
+    factored afresh.  Newton stops once the residual is at most cfg.newton_tol,
+    after at most _MAX_FACTORIZATIONS factorizations."""
     K = _check_target(bg, K_target)
     u = bg.mesh._check(u0, "u0").copy()
     # the data term G = rho^{2 beta} K; at a cone vertex, where it is 0 * inf with a
@@ -243,36 +243,31 @@ def newton_solve(bg: ConicalBackground, K_target, u0, cfg: SolverConfig = Solver
         rel_tol = 10 * _LINEAR_TOL if fresh else _CHORD_RATE**2
         d, lin_sup, steps = _refined_solve(lu, J, a * F, rel_tol)
         refinements += steps
-        if not fresh:
-            trial = u + d
-            F_t, lap_t = _residual(bg, trial, G)
-            res_t = float(np.max(np.abs(a * F_t)))
-            if res_t < _CHORD_RATE * res:  # a NaN fails and refactors
-                u, F, lap_u, res = trial, F_t, lap_t, res_t
-                chords += 1
-            else:
-                lu = None  # freed before the next factorization runs
-            continue
-        lin_res = float(lin_sup) / max(1.0, res)
-        if not lin_res <= 1e3 * _LINEAR_TOL:  # a NaN or inf in d fails too
-            raise SingularLinearization(
-                f"inner linear solve residual {lin_res:.3e} (relative) exceeds tolerance"
-            )
-        lin_worst = max(lin_worst, lin_res)
+        if fresh:
+            lin_res = float(lin_sup) / max(1.0, res)
+            if not lin_res <= 1e3 * _LINEAR_TOL:  # a NaN or inf in d fails too
+                raise SingularLinearization(
+                    f"inner linear solve residual {lin_res:.3e} (relative) exceeds tolerance"
+                )
+            lin_worst = max(lin_worst, lin_res)
+        goal, trials = (res, _LINE_SEARCH_HALVINGS + 1) if fresh else (_CHORD_RATE * res, 1)
         step = 1.0
-        for _ in range(_LINE_SEARCH_HALVINGS + 1):
+        for _ in range(trials):
             trial = u + step * d
             F_t, lap_t = _residual(bg, trial, G)
             res_t = float(np.max(np.abs(a * F_t)))
-            if res_t < res:
+            if res_t < goal:  # a NaN fails
                 break
             step *= 0.5
         else:
-            raise NewtonDivergence(f"line search stalled at residual {res:.3e}")
+            if fresh:
+                raise NewtonDivergence(f"line search stalled at residual {res:.3e}")
+            lu = None  # u stays; freed before the next factorization runs
+            continue
         if not (step == 1.0 and res_t < _CHORD_RATE * res):
             lu = None
         u, F, lap_u, res = trial, F_t, lap_t, res_t
-        iters += 1
+        iters, chords = (iters + 1, chords) if fresh else (iters, chords + 1)
     report = SolverReport(
         converged=True,
         final_residual_sup=res,

@@ -75,6 +75,21 @@ def test_gauss_bonnet_round(round_bg4):
     assert rep.residual < 1e-6
 
 
+@pytest.mark.parametrize("name", ["flagship_bg_small", "flagship_bg_g5"])
+def test_gauss_bonnet_sees_only_the_cone_cells(name, request):
+    # the integral is an identity of the scheme: m (4 pi - sum_c A_c) - sum_c (W u)_c
+    # for every u, the sums over the cone vertices c, W the stiffness (measured
+    # to 5e-15 on b4/g3 and b5/g5); so at u = 0 the residual is sum_c A_c / 4 pi
+    bg = request.getfixturevalue(name)
+    cones, areas = bg.cone_vertices, bg.mesh.areas
+    u = np.random.default_rng(1).standard_normal(bg.n_vertices)
+    identity = bg.m * (4.0 * math.pi - np.sum(areas[cones])) - np.sum((bg.mesh.stiffness @ u)[cones])
+    assert gauss_bonnet(bg, u).integral == pytest.approx(identity, rel=1e-12, abs=0.0)
+    at_zero = gauss_bonnet(bg, np.zeros(bg.n_vertices)).residual
+    # a difference of two numbers near 4 pi m: rounding is absolute
+    assert at_zero == pytest.approx(np.sum(areas[cones]) / (4.0 * math.pi), rel=0.0, abs=1e-14)
+
+
 def test_curvature_map_of_an_unpinned_u(flagship_bg_small):
     # the solver's u has cone values; the curvature map reads them
     bg = flagship_bg_small

@@ -138,6 +138,8 @@ def test_non_finite_solver_setting_exits_2(tmp_path):
 
 BAD_SETTINGS = {
     "divisor lat": lambda cfg: cfg["divisor"][0].update(position={"lat": math.nan, "lon": 0.0}),
+    # this used to be read as the point at lat 80, lon 180
+    "divisor lat above 90": lambda cfg: cfg["divisor"][0].update(position={"lat": 100.0, "lon": 0.0}),
     "mesh radius": lambda cfg: cfg["mesh"].update(grading_radius=math.nan),
     "mesh level": lambda cfg: cfg["mesh"].update(base_level=-1),
     "constant target": lambda cfg: cfg.update(target={"type": "constant", "value": math.nan}),

@@ -142,6 +142,32 @@ def test_flagship_unit_curvature_converges_to_the_exact_metric(flagship_bg_g5):
     assert errors[1] <= 9.61e-3 and errors[2] <= 1.36e-3
 
 
+def test_flagship_nonconstant_curvature_converges_to_the_exact_metric(
+        flagship_bg_small, flagship_bg_g5):
+    # u* = u_1 + s, s = a x^4 with x = (z - z0) / (1 - z0) for z > z0 (0 elsewhere),
+    # has curvature K* = e^{-2s} (1 - e^{-2 u_1} rho^{-2 beta} Lap s), with the round
+    # Lap s = (1 - z^2) s'' - 2 z s'; s is C^3 and vanishes near the cones
+    a, z0 = 0.02, 0.5
+    div = flagship_divisor()
+    errors = []
+    for bg in (build_background(div, build_mesh(3, div, grading=2)), flagship_bg_small,
+               flagship_bg_g5):
+        free, u1 = bg.free, three_cone_factor(bg)
+        z = bg.mesh.vertices[:, 2]
+        x = np.maximum(z - z0, 0.0) / (1.0 - z0)
+        s = a * x**4
+        lap_s = 12.0 * a * x**2 * (1.0 - z**2) / (1.0 - z0) ** 2 - 8.0 * a * x**3 * z / (1.0 - z0)
+        K = np.zeros(bg.n_vertices)
+        K[free] = np.exp(-2.0 * s[free]) * (
+            1.0 - np.exp(-2.0 * u1[free]) * bg.rho_pow_neg2beta[free] * lap_s[free])
+        assert np.min(K[free]) > 0.5  # K* ranges over [0.61, 2.47]
+        u, rep = continuation_solve(bg, K, SolverConfig(newton_tol=1e-10))
+        errors.append(float(np.max(np.abs(u[free] - u1[free] - s[free]))))
+    # measured: 2.21e-2, 9.51e-3, 1.31e-3
+    assert errors[0] > errors[1] > errors[2]
+    assert all(e <= 1.2 * m for e, m in zip(errors, (2.21e-2, 9.51e-3, 1.31e-3))), errors
+
+
 @pytest.mark.parametrize("betas", [(-0.6, -0.61, -0.62), (-0.30, -0.55, -0.65)],
                          ids=["near-equal", "spread"])
 def test_divisors_without_disjoint_cone_balls_solve(betas):

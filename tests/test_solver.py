@@ -15,6 +15,7 @@ from conesphere.errors import (
     ConesphereError,
     ContinuationStall,
     DomainError,
+    NewtonDivergence,
     NonPositiveTarget,
     NormalizationError,
     ScopeError,
@@ -339,6 +340,66 @@ def test_failed_chord_step_refactors_at_same_u(flagship_bg_small, monkeypatch):
     start = residual_at[solves[1][1] - 1]
     assert np.array_equal(jacobian_at[1], start)
     assert not np.array_equal(residual_at[solves[1][1]], start)
+
+
+def test_line_search_gives_up_after_its_halvings(flagship_bg_small, monkeypatch):
+    # every trial of the first fresh correction fails: its full step and each
+    # halving of it are tried once, from u = 0, and then Newton gives up
+    bg = flagship_bg_small
+    residual_at, residual = [], solver._residual
+
+    def spy_residual(bg, u, G):
+        F, lap_u = residual(bg, u, G)
+        residual_at.append(u)
+        return (F if len(residual_at) == 1 else np.full_like(F, np.inf)), lap_u
+
+    monkeypatch.setattr(solver, "_residual", spy_residual)
+    with pytest.raises(NewtonDivergence, match="line search stalled"):
+        newton_solve(bg, 1.0 + 0.2 * bg.mesh.vertices[:, 0], np.zeros(bg.n_vertices))
+    trials = residual_at[1:]
+    assert len(trials) == solver._LINE_SEARCH_HALVINGS + 1
+    assert all(np.array_equal(t, 0.5**k * trials[0]) for k, t in enumerate(trials))
+
+
+def test_chord_correction_has_one_full_trial(flagship_bg_small, monkeypatch):
+    # each chord correction d makes one _residual call, at u + d, u the trial
+    # its kept LU last accepted; the first chord trial is made to fail, and it
+    # is not halved either: the Jacobian is factored afresh at the same u
+    bg = flagship_bg_small
+    v = pinned_test_factor(bg, north=1.0, south=0.4)
+    events = []  # (kind, u or d) of each _residual, _jacobian and correction
+    residual, jacobian, refined = solver._residual, solver._jacobian, solver._refined_solve
+
+    def spy_residual(bg, u, G):
+        F, lap_u = residual(bg, u, G)
+        if events and events[-1][0] == "chord" and sum(e[0] == "chord" for e in events) == 1:
+            F = np.full_like(F, np.inf)
+        events.append(("residual", u))
+        return F, lap_u
+
+    def spy_jacobian(bg, u, lap_u):
+        events.append(("jacobian", u))
+        return jacobian(bg, u, lap_u)
+
+    def spy_solve(lu, J, F, rel_tol):
+        d, sup, steps = refined(lu, J, F, rel_tol)
+        events.append(("chord" if rel_tol == solver._CHORD_RATE**2 else "fresh", d))
+        return d, sup, steps
+
+    monkeypatch.setattr(solver, "_residual", spy_residual)
+    monkeypatch.setattr(solver, "_jacobian", spy_jacobian)
+    monkeypatch.setattr(solver, "_refined_solve", spy_solve)
+    u, rep = newton_solve(bg, curvature_map(bg, v), np.zeros(bg.n_vertices))
+    assert np.max(np.abs(u - v)) <= 1e-10
+    chords = [i for i, e in enumerate(events) if e[0] == "chord"]
+    assert len(chords) == rep.chord_steps + 1 and rep.chord_steps >= 1
+    for i in chords:
+        (before, start), (_, d), (after, trial) = events[i - 1:i + 2]
+        assert before == after == "residual" and np.array_equal(trial, start + d)
+        assert i + 2 == len(events) or events[i + 2][0] != "residual"
+    first = chords[0]
+    assert events[first + 2][0] == "jacobian"
+    assert np.array_equal(events[first + 2][1], events[first - 1][1])
 
 
 def _record_corrections(monkeypatch):
