@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisor import Divisor, euler_characteristic, geodesic_distance
-from .errors import BackgroundError, NormalizationError, ShapeError
+from .errors import BackgroundError, DomainError, NormalizationError, ScopeError, ShapeError
 from .mesh import SphereMesh
 from .moebius import _chart_image, moebius_from_triples
 
@@ -233,7 +233,7 @@ def _three_cone_log_factor(w, betas):
     Each point takes whichever of these six variables, or its offset from
     e^{+-i pi/3}, has the least modulus; at the offset both series of the
     chart v = w are Taylor series of the hypergeometric equation, the
-    conjugate serving below the real axis.  ValueError unless h is finite
+    conjugate serving below the real axis.  DomainError unless h is finite
     and positive in each chart: h > 0 is the condition for the metric to
     exist, and each chart alone converges near its own cone at v = 0."""
     w = np.asarray(w, dtype=complex)
@@ -250,7 +250,7 @@ def _three_cone_log_factor(w, betas):
         except (ValueError, ZeroDivisionError, OverflowError):  # a pole or overflow of gamma
             h = math.nan
         if not 0 < h < math.inf:
-            raise ValueError(f"no spherical metric with cone exponents {betas}: h = {h}")
+            raise DomainError(f"no spherical metric with cone exponents {betas}: h = {h}")
         params = ((a, b, c), (margins[i] / 2, b - c + 1, 2 - c))  # of y2's and y1's series
         charts.append((h, betas[i], betas[j], jacobian, params))
     variables = _chart_variables(w)
@@ -281,7 +281,10 @@ def three_cone_factor(bg: ConicalBackground) -> np.ndarray:
     """u_1: the exact u of the curvature-1 metric with bg's three cones, on
     every node.  At a non-cone node it is the metric's log factor, its cones
     moved to w = 0, 1, inf, minus 1/2 log rho^{2 beta}; a cone vertex takes
-    the mean over its 1-ring."""
+    the mean over its 1-ring.  ScopeError unless bg has exactly three cones,
+    DomainError if no spherical metric has their exponents."""
+    if len(bg.divisor) != 3:
+        raise ScopeError(f"the exact factor needs 3 cones, the divisor has {len(bg.divisor)}")
     phi = moebius_from_triples(bg.divisor.positions, [[0, 0, -1], [1, 0, 0], [0, 0, 1]])
     p, q, eta = _chart_image(phi, bg.mesh.vertices[bg.free])
     u = np.empty(bg.n_vertices)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisor import Divisor
-from .errors import ClosureViolation, DomainError, ScopeError
+from .errors import ClosureViolation, DomainError, ScopeError, ShapeError
 
 _BETA_TOL = 1e-12
 _COINCIDENT = 1e-12  # chordal distance below which two points of a triple coincide
@@ -48,10 +48,8 @@ def _project_hom(points):
 
 
 def _unproject_hom(z, w):
-    """Inverse of _project_hom; accepts any homogeneous scaling of (z, w)."""
+    """Inverse of _project_hom; accepts any nonzero scaling of (z, w)."""
     s = np.abs(z) ** 2 + np.abs(w) ** 2
-    if np.any(s == 0.0):
-        raise DomainError("degenerate homogeneous coordinate (0, 0)")
     h = (np.abs(z) ** 2 - np.abs(w) ** 2) / s
     xy = 2.0 * z * np.conj(w) / s
     return np.stack([xy.real, xy.imag, h], axis=-1)
@@ -95,35 +93,27 @@ def _adjugate(mat):
     return adj
 
 
-def _normalize_det(mat):
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if det == 0.0 or not np.isfinite(det):
-        raise DomainError("degenerate Moebius coefficient matrix")
-    return mat / np.sqrt(det)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoebiusMap:
-    """Orientation-preserving Moebius transformation of the sphere.
+    """Orientation-preserving Moebius transformation of the sphere: its matrix
+    [[a, b], [c, d]] acts on the stereographic coordinate z of _project_hom
+    as z -> (az + b)/(cz + d).  A 2x2 matrix is scaled to ad - bc = 1 (up
+    to global sign) and kept read-only, so the map is its SL(2, C) matrix;
+    ShapeError unless 2x2, DomainError unless its entries and ad - bc are
+    finite and ad - bc != 0."""
 
-    Coefficients act on the stereographic coordinate z of _project_hom as
-    z -> (az + b)/(cz + d), normalized to ad - bc = 1 (up to global sign),
-    so the map is its SL(2, C) matrix.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    matrix: np.ndarray
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-12:
-            raise DomainError(f"coefficients not normalized: ad - bc = {det}")
-
-    @property
-    def matrix(self):
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex)
+        if mat.shape != (2, 2):
+            raise ShapeError(f"a Moebius matrix is 2x2, got shape {mat.shape}")
+        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] if np.isfinite(mat).all() else np.nan
+        if det == 0.0 or not np.isfinite(det):
+            raise DomainError(f"singular or non-finite Moebius matrix: ad - bc = {det}")
+        mat = mat / np.sqrt(det)
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
 
     def apply(self, points):
         """Image of one point (shape (3,)) or many (shape (n, 3))."""
@@ -133,10 +123,10 @@ class MoebiusMap:
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """self after other, as sphere maps."""
-        return MoebiusMap(*_normalize_det(self.matrix @ other.matrix).ravel())
+        return MoebiusMap(self.matrix @ other.matrix)
 
     def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
+        return MoebiusMap(_adjugate(self.matrix))
 
 
 def moebius_from_triples(src, dst) -> MoebiusMap:
@@ -149,9 +139,9 @@ def moebius_from_triples(src, dst) -> MoebiusMap:
         for i, j in itertools.combinations(range(3), 2):
             if np.linalg.norm(pts[i] - pts[j]) < _COINCIDENT:
                 raise DomainError(f"{name} points {i} and {j} coincide")
-    # the adjugate stands in for the inverse: _normalize_det removes the scale
+    # the adjugate stands in for the inverse: MoebiusMap removes the scale
     mat = _adjugate(_normalizer(*_project_hom(dst))) @ _normalizer(*_project_hom(src))
-    return MoebiusMap(*_normalize_det(mat).ravel())
+    return MoebiusMap(mat)
 
 
 def conformal_distortion(phi: MoebiusMap, points):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conesphere.cli
+from conesphere.background import three_cone_factor
 from conesphere.cli import Job, main
 from conesphere.mesh import build_mesh, write_csv
 from conesphere.divisor import WeightSpec, flagship_divisor, weight_admissible
@@ -154,6 +155,8 @@ BAD_SETTINGS = {
     "empty divisor": lambda cfg: cfg.update(divisor=[]),
     "section not an object": lambda cfg: cfg.update(mesh=[]),
     "missing key": lambda cfg: cfg["divisor"][0].pop("beta"),
+    "beta above 0": lambda cfg: cfg["divisor"][0].update(beta=0.5),
+    "beta at -1": lambda cfg: cfg["divisor"][0].update(beta=-1.0),
 }
 
 
@@ -358,6 +361,19 @@ def test_solve_negative_expression_exits_1(tmp_path, a, b):
     assert rep["error"]["type"] == "NonPositiveTarget"
 
 
+def test_solve_constant_target(tmp_path):
+    # K = 2 is the curvature-1 metric scaled by 1/2: u = u_1 - 1/2 log 2
+    cfg = flagship_config(mesh={"base_level": 3, "grading_levels": 2},
+                          target={"type": "constant", "value": 2.0})
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path, "solve.json")["report"]["solver"]["base_point"] == "constant_curvature"
+    bg = Job(path).background()
+    u = np.loadtxt(tmp_path / "u.csv", delimiter=",", skiprows=1)[:, 3]
+    error = np.max(np.abs(u - three_cone_factor(bg) + 0.5 * math.log(2.0))[bg.free])
+    assert error <= 1.2 * 2.22e-2  # measured 2.22e-2, the discretization error of u_1
+
+
 def test_solve_manufactured_target(tmp_path):
     cfg = flagship_config(target={"type": "manufactured", "north": 1.0, "south": 0.5})
     path = write_config(tmp_path, cfg)
@@ -430,6 +446,21 @@ def test_solve_grid_mismatch_exits_2(tmp_path):
     cfg = flagship_config(target={"type": "grid", "path": str(grid)})
     path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read grid file"),
+    ("x,y,z,value\n0,0,1,one\n", "grid file is not x,y,z,value CSV"),
+], ids=["directory", "not-numeric"])
+def test_solve_unreadable_grid_exits_2(tmp_path, capsys, content, message):
+    grid = tmp_path / "target.csv"
+    if content is None:
+        grid.mkdir()
+    else:
+        grid.write_text(content)
+    path = write_config(tmp_path, flagship_config(target={"type": "grid", "path": str(grid)}))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edits", [{7: "0.5"}, {5: "nan", 7: "0.5"}], ids=["wrong-node", "nan-and-wrong-node"])
@@ -573,6 +604,12 @@ def test_example_out_of_range_arguments_exit_2(tmp_path, capsys, args):
     # job's, and what they reject is bad input
     assert main(["example", *args, "--out", str(tmp_path)]) == 2
     assert "configuration error: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "example.json").exists()
+
+
+def test_example_triangle_without_angles_exits_2(tmp_path, capsys):
+    assert main(["example", "--name", "triangle", "--out", str(tmp_path)]) == 2
+    assert "configuration error: triangle example needs --angles" in capsys.readouterr().err
     assert not (tmp_path / "example.json").exists()
 
 

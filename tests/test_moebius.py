@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from conesphere.diagnostics import triangle_double_divisor
 from conesphere.divisor import ConePoint, Divisor, divisor, equatorial_divisor, flagship_divisor
-from conesphere.errors import ClosureViolation, DomainError, ScopeError
+from conesphere.errors import ClosureViolation, DomainError, ScopeError, ShapeError
 from conesphere.moebius import (
     _BETA_TOL,
+    MoebiusMap,
     _project_hom,
     _unproject_hom,
     conformal_distortion,
@@ -98,6 +99,35 @@ def test_compose_and_inverse():
     assert np.max(np.linalg.norm(both - pts, axis=1)) < 1e-8
     comp = phi.compose(phi.inverse())
     assert np.max(np.linalg.norm(comp.apply(pts) - pts, axis=1)) < 1e-8
+
+
+def test_constructor_scales_any_nonsingular_matrix_to_unit_determinant():
+    rng = np.random.default_rng(18)
+    raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    phi, scaled = MoebiusMap(raw), MoebiusMap(-3.7j * raw)
+    pts = sample_points(20, seed=19)
+    for m in (phi.matrix, scaled.matrix, phi.inverse().matrix, phi.compose(scaled).matrix):
+        assert abs(np.linalg.det(m) - 1.0) < 1e-14
+    # a scale names the same map
+    assert np.max(np.linalg.norm(scaled.apply(pts) - phi.apply(pts), axis=1)) < 1e-12
+    assert np.array_equal(MoebiusMap([[4, 0], [0, 1]]).matrix, [[2, 0], [0, 0.5]])
+    with pytest.raises(ValueError, match="read-only"):
+        phi.matrix[0, 0] = 1.0
+    assert raw.flags.writeable  # the caller's array is not frozen
+
+
+@pytest.mark.parametrize("matrix, error", [
+    ([[1.0, 2.0], [2.0, 4.0]], DomainError),
+    ([[0.0, 0.0], [0.0, 0.0]], DomainError),
+    ([[math.inf, 0.0], [0.0, 1.0]], DomainError),
+    ([[1.0, 0.0], [math.nan, 1.0]], DomainError),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ShapeError),
+    ([1.0, 0.0, 0.0, 1.0], ShapeError),
+    ([[[1.0, 0.0], [0.0, 1.0]]], ShapeError),
+], ids=["singular", "zero", "inf", "nan", "2x3", "flat", "stack"])
+def test_constructor_rejects_singular_non_finite_and_non_2x2_matrices(matrix, error):
+    with pytest.raises(error):
+        MoebiusMap(matrix)
 
 
 def test_distortion_cocycle():

@@ -16,6 +16,7 @@ from conesphere.background import (
     three_cone_factor,
 )
 from conesphere.divisor import divisor, equatorial_divisor, flagship_divisor, solver_scope_check
+from conesphere.errors import DomainError, ScopeError
 from conesphere.mesh import build_mesh
 from conesphere.moebius import _project_hom
 from conesphere.solver import SolverConfig, continuation_solve
@@ -117,7 +118,7 @@ def test_log_factor_matches_mpmath_across_every_switch(name):
 
 def test_angles_without_a_metric_are_rejected():
     # (-0.9, -0.1, -0.2) fails Troyanov's condition: h = -0.97
-    with pytest.raises(ValueError, match="no spherical metric"):
+    with pytest.raises(DomainError, match="no spherical metric"):
         _three_cone_log_factor(np.array([0.5j]), np.array([-0.9, -0.1, -0.2]))
 
 
@@ -128,8 +129,20 @@ def test_angles_without_a_metric_are_rejected():
 ])
 def test_a_pole_of_gamma_in_any_chart_is_the_documented_value_error(betas):
     # math.gamma raises its own ValueError at a pole; it must not escape
-    with pytest.raises(ValueError, match="no spherical metric"):
+    with pytest.raises(DomainError, match="no spherical metric"):
         _three_cone_log_factor(np.array([0.5j]), betas)
+
+
+@pytest.mark.parametrize("betas, error", [
+    ((-0.9, -0.1, -0.1), DomainError),  # has a background, fails Troyanov's condition
+    ((-0.3, -0.4), ScopeError),
+    ((-0.3, -0.4, -0.5, -0.2), ScopeError),
+], ids=["no-metric", "two-cones", "four-cones"])
+def test_three_cone_factor_raises_package_errors(betas, error):
+    # these raised a bare ValueError, and a DomainError about triples
+    div = equatorial_divisor(betas)
+    with pytest.raises(error):
+        three_cone_factor(build_background(div, build_mesh(3, div)))
 
 
 def test_flagship_unit_curvature_converges_to_the_exact_metric(flagship_bg_g5):
